@@ -1,20 +1,17 @@
 // Extended comparison beyond the paper's Table II: the high-order model
-// against the full family of stream classifiers this library implements —
-// RePro (KDD'05), WCE (KDD'03), Dynamic Weighted Majority (ICDM'03,
-// reference [15]), a frozen static model, and the naive sliding-window
+// against the stream classifiers this library implements — RePro (KDD'05),
+// WCE (KDD'03), a frozen static model, and the naive sliding-window
 // retrainer — plus a high-order variant built on Naive Bayes base models
 // (Section II-B: "any method designed for mining stationary data").
 
 #include <cstdio>
 #include <memory>
 
-#include "baselines/dwm.h"
 #include "baselines/repro.h"
 #include "baselines/simple.h"
 #include "baselines/wce.h"
 #include "bench/harness.h"
 #include "classifiers/decision_tree.h"
-#include "classifiers/incremental_naive_bayes.h"
 #include "classifiers/naive_bayes.h"
 #include "streams/hyperplane.h"
 #include "streams/intrusion.h"
@@ -72,10 +69,6 @@ void RunStream(const char* name, StreamGenerator* gen, size_t history_size,
   {
     Wce wce(history.schema(), DecisionTree::Factory());
     run_stream_classifier("WCE", &wce);
-  }
-  {
-    Dwm dwm(history.schema(), IncrementalNaiveBayes::Factory());
-    run_stream_classifier("DWM", &dwm);
   }
   {
     StaticBaseline frozen(history.schema(), DecisionTree::Factory(), 1000);

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "classifiers/decision_tree.h"
-#include "classifiers/hoeffding_tree.h"
 #include "common/check.h"
 
 namespace hom {
@@ -30,12 +29,6 @@ int32_t PackDistribution(const std::vector<double>& counts, double total,
     dist->push_back((counts[c] + 1.0) / denom);
   }
   return offset;
-}
-
-int32_t PackOneHot(Label majority, size_t num_classes,
-                   std::vector<double>* dist) {
-  static const std::vector<double> kEmpty;
-  return PackDistribution(kEmpty, 0.0, majority, num_classes, dist);
 }
 
 }  // namespace
@@ -98,81 +91,6 @@ Result<std::unique_ptr<CompiledTree>> CompiledTree::FromDecisionTree(
                           : PackDistribution(node.class_counts, node.total,
                                              node.majority, ct->num_classes_,
                                              &ct->dist_));
-    for (int32_t child : node.children) {
-      if (child < 0 || static_cast<size_t>(child) >= n) {
-        return Status::InvalidArgument("child index out of range");
-      }
-      order.push_back(child);
-    }
-  }
-  return ct;
-}
-
-Result<std::unique_ptr<CompiledTree>> CompiledTree::FromHoeffdingTree(
-    const HoeffdingTree& tree) {
-  if (tree.config_.naive_bayes_leaves) {
-    return Status::NotImplemented(
-        "VFDT-NB leaves answer from sufficient statistics, not a fixed "
-        "distribution; only majority/Laplace leaves compile");
-  }
-  const auto& nodes = tree.nodes_;
-  const Schema& schema = *tree.schema_;
-  if (nodes.empty()) {
-    return Status::FailedPrecondition("cannot compile an empty tree");
-  }
-  auto ct = std::unique_ptr<CompiledTree>(new CompiledTree());
-  ct->num_classes_ = schema.num_classes();
-  size_t n = nodes.size();
-  std::vector<int32_t> order;
-  order.reserve(n);
-  order.push_back(0);
-  for (size_t ni = 0; ni < order.size(); ++ni) {
-    if (order.size() > n) {
-      return Status::InvalidArgument(
-          "tree nodes do not form a tree (shared or cyclic children)");
-    }
-    const auto& node = nodes[static_cast<size_t>(order[ni])];
-    ct->split_attr_.push_back(node.attribute);
-    ct->threshold_.push_back(node.threshold);
-    ct->majority_.push_back(node.majority);
-    if (node.attribute < 0) {
-      ct->first_child_.push_back(0);
-      ct->fanout_.push_back(0);
-      ct->numeric_split_.push_back(0);
-      if (node.stats >= 0 &&
-          static_cast<size_t>(node.stats) < tree.leaf_stats_.size()) {
-        const auto& stats = tree.leaf_stats_[static_cast<size_t>(node.stats)];
-        // The source computes denom = total + num_classes and divides even
-        // when total == 0 (Laplace floor); PackDistribution's total<=0
-        // one-hot would diverge, so inline the exact expression here.
-        int32_t offset = static_cast<int32_t>(ct->dist_.size());
-        double denom =
-            stats.total + static_cast<double>(ct->num_classes_);
-        for (size_t c = 0; c < ct->num_classes_; ++c) {
-          ct->dist_.push_back((stats.class_counts[c] + 1.0) / denom);
-        }
-        ct->dist_offset_.push_back(offset);
-      } else {
-        // Statistics already dropped: the source answers a one-hot.
-        ct->dist_offset_.push_back(
-            PackOneHot(node.majority, ct->num_classes_, &ct->dist_));
-      }
-      continue;
-    }
-    if (static_cast<size_t>(node.attribute) >= schema.num_attributes()) {
-      return Status::InvalidArgument("split attribute out of range");
-    }
-    const Attribute& attr =
-        schema.attribute(static_cast<size_t>(node.attribute));
-    ct->first_child_.push_back(static_cast<int32_t>(order.size()));
-    ct->fanout_.push_back(static_cast<int32_t>(node.children.size()));
-    ct->numeric_split_.push_back(attr.is_numeric() ? 1 : 0);
-    // An internal node that answers (unseen category) is a one-hot of its
-    // majority in the Hoeffding tree — stats live only at leaves.
-    ct->dist_offset_.push_back(
-        attr.is_numeric()
-            ? -1
-            : PackOneHot(node.majority, ct->num_classes_, &ct->dist_));
     for (int32_t child : node.children) {
       if (child < 0 || static_cast<size_t>(child) >= n) {
         return Status::InvalidArgument("child index out of range");

@@ -12,7 +12,6 @@
 namespace hom {
 
 class DecisionTree;
-class HoeffdingTree;
 
 /// \brief A trained tree flattened into contiguous structure-of-arrays form
 /// for the online prediction hot path (DESIGN.md §13).
@@ -40,13 +39,6 @@ class CompiledTree {
   /// Flattens a trained C4.5 tree. Fails on an untrained tree.
   static Result<std::unique_ptr<CompiledTree>> FromDecisionTree(
       const DecisionTree& tree);
-
-  /// Flattens a Hoeffding tree frozen at its current state (the high-order
-  /// model never trains concept classifiers online, so freezing is exact).
-  /// Fails when `naive_bayes_leaves` is set — NB leaves answer from
-  /// per-leaf sufficient statistics, not a fixed distribution.
-  static Result<std::unique_ptr<CompiledTree>> FromHoeffdingTree(
-      const HoeffdingTree& tree);
 
   /// The majority label of the node the record routes to — bit-identical
   /// to the source tree's Predict().

@@ -26,7 +26,7 @@ namespace hom {
 ///
 /// Concepts are keyed by the classifier's id (-1 = "no active concept");
 /// entries appear on first attribution, so methods with a dynamic model
-/// pool (DWM, RePro histories) need no upfront sizing.
+/// pool (RePro histories) need no upfront sizing.
 class OnlineConceptStats {
  public:
   struct ConceptEntry {

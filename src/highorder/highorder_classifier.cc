@@ -55,8 +55,8 @@ HighOrderClassifier::HighOrderClassifier(SchemaPtr schema,
   std::iota(weight_order_.begin(), weight_order_.end(), 0);
   // Concept models are frozen after the offline build, so their trees can
   // be flattened once here and served from the compiled form for the whole
-  // online phase. Models without a compilable form (naive Bayes, NB-leaf
-  // Hoeffding trees) keep a null entry and go through the virtual path.
+  // online phase. Models without a compilable form (naive Bayes) keep a
+  // null entry and go through the virtual path.
   compiled_.assign(concepts_.size(), nullptr);
   if (options_.use_compiled_kernels) {
     for (size_t c = 0; c < concepts_.size(); ++c) {

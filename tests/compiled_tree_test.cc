@@ -14,7 +14,6 @@
 
 #include "classifiers/compiled_tree.h"
 #include "classifiers/decision_tree.h"
-#include "classifiers/hoeffding_tree.h"
 #include "common/rng.h"
 #include "highorder/concept_stats.h"
 #include "highorder/highorder_classifier.h"
@@ -160,40 +159,6 @@ TEST(CompiledTreeTest, MissingNumericValuesTakeTheRightBranch) {
   WalkSnapshot snap = Snapshot(tree, weird);
   tree.EnsureCompiled();
   ExpectCompiledMatchesSnapshot(tree, weird, snap);
-}
-
-TEST(CompiledTreeTest, HoeffdingTreeMatchesWalk) {
-  for (uint64_t seed : {1u, 5u}) {
-    StaggerGenerator gen(seed);
-    Dataset train = gen.Generate(3000);
-    Dataset test = gen.Generate(400);
-    HoeffdingTreeConfig config;
-    config.grace_period = 50;
-    HoeffdingTree tree(gen.schema(), config);
-    for (const Record& r : train.records()) {
-      ASSERT_TRUE(tree.Update(r).ok());
-    }
-    WalkSnapshot snap = Snapshot(tree, test);
-    tree.EnsureCompiled();
-    ExpectCompiledMatchesSnapshot(tree, test, snap);
-    // Any further online learning invalidates the frozen snapshot.
-    ASSERT_TRUE(tree.Update(train.records()[0]).ok());
-    EXPECT_EQ(tree.compiled(), nullptr);
-  }
-}
-
-TEST(CompiledTreeTest, NaiveBayesLeavesDoNotCompile) {
-  StaggerGenerator gen(1);
-  Dataset train = gen.Generate(500);
-  HoeffdingTreeConfig config;
-  config.naive_bayes_leaves = true;
-  HoeffdingTree tree(gen.schema(), config);
-  for (const Record& r : train.records()) {
-    ASSERT_TRUE(tree.Update(r).ok());
-  }
-  EXPECT_FALSE(CompiledTree::FromHoeffdingTree(tree).ok());
-  tree.EnsureCompiled();
-  EXPECT_EQ(tree.compiled(), nullptr);
 }
 
 // ----------------------------------------------------- high-order paths

@@ -1,14 +1,10 @@
-// Tests for the additional online baselines: Dynamic Weighted Majority and
-// the static / sliding-window "chasing trends" reference points.
-
-#include <algorithm>
+// Tests for the static / sliding-window "chasing trends" reference
+// points.
 
 #include <gtest/gtest.h>
 
-#include "baselines/dwm.h"
 #include "baselines/simple.h"
 #include "classifiers/decision_tree.h"
-#include "classifiers/incremental_naive_bayes.h"
 #include "common/rng.h"
 #include "eval/prequential.h"
 #include "streams/stagger.h"
@@ -23,91 +19,6 @@ Record StaggerRecord(Rng* rng, int concept_id) {
            0);
   r.label = StaggerGenerator::TrueLabel(r, concept_id);
   return r;
-}
-
-// ------------------------------------------------------------------ DWM
-
-TEST(DwmTest, StartsWithOneExpert) {
-  Dwm dwm(StaggerGenerator::MakeSchema(), IncrementalNaiveBayes::Factory());
-  EXPECT_EQ(dwm.num_experts(), 1u);
-  EXPECT_GE(dwm.Predict(Record({0, 0, 0}, kUnlabeled)), 0);
-}
-
-TEST(DwmTest, LearnsStationaryConcept) {
-  DwmConfig config;
-  config.period = 10;
-  Dwm dwm(StaggerGenerator::MakeSchema(), IncrementalNaiveBayes::Factory(),
-          config);
-  Rng rng(1);
-  for (int i = 0; i < 3000; ++i) dwm.ObserveLabeled(StaggerRecord(&rng, 2));
-  int errors = 0;
-  for (int i = 0; i < 500; ++i) {
-    Record r = StaggerRecord(&rng, 2);
-    Record x = r;
-    x.label = kUnlabeled;
-    if (dwm.Predict(x) != r.label) ++errors;
-  }
-  EXPECT_LT(errors, 25);
-}
-
-TEST(DwmTest, SpawnsExpertsOnConceptShift) {
-  DwmConfig config;
-  config.period = 10;
-  Dwm dwm(StaggerGenerator::MakeSchema(), IncrementalNaiveBayes::Factory(),
-          config);
-  Rng rng(2);
-  for (int i = 0; i < 1500; ++i) dwm.ObserveLabeled(StaggerRecord(&rng, 0));
-  size_t before = dwm.num_experts();
-  // Removal can shrink the ensemble again, so track the peak during the
-  // turmoil right after the shift.
-  size_t peak = before;
-  for (int i = 0; i < 300; ++i) {
-    dwm.ObserveLabeled(StaggerRecord(&rng, 2));
-    peak = std::max(peak, dwm.num_experts());
-  }
-  EXPECT_GT(peak, before);  // the shift spawned new experts
-}
-
-TEST(DwmTest, RecoversAfterShift) {
-  DwmConfig config;
-  config.period = 10;
-  Dwm dwm(StaggerGenerator::MakeSchema(), IncrementalNaiveBayes::Factory(),
-          config);
-  Rng rng(3);
-  for (int i = 0; i < 2000; ++i) dwm.ObserveLabeled(StaggerRecord(&rng, 0));
-  for (int i = 0; i < 2000; ++i) dwm.ObserveLabeled(StaggerRecord(&rng, 2));
-  int errors = 0;
-  for (int i = 0; i < 500; ++i) {
-    Record r = StaggerRecord(&rng, 2);
-    Record x = r;
-    x.label = kUnlabeled;
-    if (dwm.Predict(x) != r.label) ++errors;
-  }
-  EXPECT_LT(errors, 50);
-}
-
-TEST(DwmTest, ExpertCountIsCapped) {
-  DwmConfig config;
-  config.period = 1;
-  config.max_experts = 4;
-  Dwm dwm(StaggerGenerator::MakeSchema(), IncrementalNaiveBayes::Factory(),
-          config);
-  Rng rng(4);
-  // Rapidly alternating concepts force constant ensemble errors.
-  for (int i = 0; i < 2000; ++i) {
-    dwm.ObserveLabeled(StaggerRecord(&rng, i % 3));
-  }
-  EXPECT_LE(dwm.num_experts(), 4u);
-}
-
-TEST(DwmTest, ProbaNormalized) {
-  Dwm dwm(StaggerGenerator::MakeSchema(), IncrementalNaiveBayes::Factory());
-  Rng rng(5);
-  for (int i = 0; i < 500; ++i) dwm.ObserveLabeled(StaggerRecord(&rng, 1));
-  std::vector<double> p = dwm.PredictProba(Record({1, 1, 1}, kUnlabeled));
-  double total = 0;
-  for (double pi : p) total += pi;
-  EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
 // --------------------------------------------------------------- Static
