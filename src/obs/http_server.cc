@@ -1,6 +1,7 @@
 #include "obs/http_server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -25,8 +26,6 @@ namespace {
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0
 #endif
-
-constexpr int kStopPollMs = 250;
 
 const char* StatusText(int code) {
   switch (code) {
@@ -302,6 +301,17 @@ Status HttpServer::Start() {
   } else {
     port_ = options_.port;
   }
+  // Stop() writes one byte here to wake the accept thread's poll().
+  int wake[2] = {-1, -1};
+  if (::pipe2(wake, O_CLOEXEC) < 0) {
+    Status status =
+        Status::Internal(std::string("pipe: ") + std::strerror(errno));
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return status;
+  }
+  wake_read_fd_ = wake[0];
+  wake_write_fd_ = wake[1];
 
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -313,7 +323,15 @@ Status HttpServer::Start() {
 
 void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stop_.store(true, std::memory_order_release);
+  {
+    // Set under the queue mutex: a worker between its predicate check and
+    // its wait would otherwise miss the notify below and never wake.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
+  const char wake = 0;
+  while (::write(wake_write_fd_, &wake, 1) < 0 && errno == EINTR) {
+  }
   queue_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (worker_thread_.joinable()) worker_thread_.join();
@@ -322,18 +340,21 @@ void HttpServer::Stop() {
     for (int fd : queue_) ::close(fd);
     queue_.clear();
   }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  for (int* fd : {&listen_fd_, &wake_read_fd_, &wake_write_fd_}) {
+    if (*fd >= 0) {
+      ::close(*fd);
+      *fd = -1;
+    }
   }
   EmitIfActive(EventType::kServerStop, "server", -1, -1, port_);
 }
 
 void HttpServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, kStopPollMs);
-    if (ready <= 0) continue;  // timeout (stop check) or EINTR
+    // No timeout: Stop() wakes the poll through the self-pipe.
+    pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {wake_read_fd_, POLLIN, 0}};
+    if (::poll(pfds, 2, /*timeout=*/-1) <= 0) continue;  // EINTR
+    if (pfds[1].revents != 0) break;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     SetIoTimeout(fd, options_.io_timeout_ms);

@@ -54,8 +54,9 @@ struct HttpRequest {
 /// \brief Minimal dependency-free blocking HTTP/1.1 server for the
 /// introspection endpoints (/metrics, /healthz, /statusz).
 ///
-/// Threading model: Start() spawns an accept thread (poll()-based so Stop()
-/// is honored within ~250 ms even with no traffic) and one worker thread.
+/// Threading model: Start() spawns an accept thread (it poll()s the listen
+/// socket and a self-pipe that Stop() writes to, so Stop() returns as soon
+/// as the in-flight request finishes) and one worker thread.
 /// Accepted sockets go through a bounded queue; when the queue is full the
 /// accept thread answers 503 inline and closes, so a scrape storm cannot
 /// pile up file descriptors or block the online path. Every response is
@@ -142,6 +143,8 @@ class HttpServer {
   std::map<std::string, RequestHandler> post_handlers_;
 
   int listen_fd_ = -1;
+  int wake_read_fd_ = -1;   ///< self-pipe: Stop() wakes the accept poll
+  int wake_write_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};

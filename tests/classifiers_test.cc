@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -397,6 +398,11 @@ struct FactoryCase {
   const char* name;
   ClassifierFactory factory;
 };
+
+// gtest prints the parameter beside each test name (ctest lists it too).
+// Without this it would dump the raw bytes, which hold pointers and so
+// change from one run to the next.
+void PrintTo(const FactoryCase& c, std::ostream* os) { *os << c.name; }
 
 class AllClassifiersTest : public ::testing::TestWithParam<FactoryCase> {};
 

@@ -72,7 +72,9 @@ TEST(EventJournalTest, EmitAssignsSequentialSeqAndMonotonicTime) {
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, i);
     EXPECT_GE(events[i].t_us, 0.0);
-    if (i > 0) EXPECT_GE(events[i].t_us, events[i - 1].t_us);
+    if (i > 0) {
+      EXPECT_GE(events[i].t_us, events[i - 1].t_us);
+    }
   }
   EXPECT_EQ(events[0].type, EventType::kDriftSuspected);
   EXPECT_EQ(events[0].source, "test");

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -306,6 +307,26 @@ TEST(HttpServerTest, StopIsIdempotentAndPortReusable) {
   ASSERT_TRUE(second.Start().ok());
   EXPECT_EQ(second.port(), port);
   EXPECT_EQ(StatusOf(Get(port, "/p")), 200);
+}
+
+TEST(HttpServerTest, StopReturnsPromptlyAfterARequest) {
+  // Several cycles, because Stop() right after a response races the worker
+  // going back to wait for the next connection.
+  for (int cycle = 0; cycle < 10; ++cycle) {
+    HttpServer server;
+    server.Handle("/p", [] { return HttpResponse{200, "text/plain", "ok"}; });
+    ASSERT_TRUE(server.Start().ok());
+    EXPECT_EQ(StatusOf(Get(server.port(), "/p")), 200);
+    // The accept thread is back in poll() now. Stop() wakes it instead of
+    // waiting for a poll timeout to notice the stop flag.
+    auto start = std::chrono::steady_clock::now();
+    server.Stop();
+    double stop_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    EXPECT_LT(stop_ms, 100.0) << "cycle " << cycle;
+    EXPECT_FALSE(server.running());
+  }
 }
 
 TEST(HttpServerTest, StartFailsWhenPortTaken) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,11 @@ struct StreamCase {
   const char* name;
   StreamKind kind;
 };
+
+// gtest prints the parameter beside each test name (ctest lists it too).
+// Without this it would dump the raw bytes, which hold pointers and so
+// change from one run to the next.
+void PrintTo(const StreamCase& c, std::ostream* os) { *os << c.name; }
 
 std::unique_ptr<StreamGenerator> MakeStream(StreamKind kind, uint64_t seed) {
   switch (kind) {

@@ -2,9 +2,9 @@
 //
 //   homctl generate --stream stagger --n 20000 --seed 1 --out hist.csv
 //   homctl build    --stream stagger --in hist.csv --out model.hom
-//                   [--threads N] [--metrics-out build_metrics.json]
-//                   [--trace-out t.json]
-//   homctl evaluate --stream stagger --model model.hom --in test.csv
+//                   [--seed S] [--threads N]
+//                   [--metrics-out build_metrics.json] [--trace-out t.json]
+//   homctl evaluate --model model.hom --in test.csv [--labeled 0.1]
 //                   [--metrics-out eval_metrics.json]
 //                   [--journal-out events.jsonl] [--trace-out t.json]
 //                   [--latency-sample N]
@@ -78,13 +78,16 @@
 // under the sampling profiler (default 99 Hz, override with
 // --profile-hz) and writes a folded stack profile at exit.
 // The boolean flag `--verbose` raises the log level to debug and
-// timestamps every line.
+// timestamps every line; every command takes it. Any other option a
+// command does not read is an error (exit 1), so a typo such as
+// `--labelled` cannot silently fall back to a default.
 //
 // `build --threads N` sizes the offline build's thread pool (0 or absent =
 // auto: the HOM_THREADS environment variable, then the hardware thread
 // count; 1 = fully serial). The built model is bit-identical at every
 // thread count.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -98,6 +101,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -143,9 +147,8 @@ namespace {
 using namespace hom;
 
 struct Args {
-  std::string command;
   std::map<std::string, std::string> options;
-  std::string positional;  ///< bare argument, commands in TakesPositional only
+  std::string positional;  ///< bare argument, for commands that take one
 
   const char* Get(const std::string& key, const char* fallback) const {
     auto it = options.find(key);
@@ -153,13 +156,6 @@ struct Args {
   }
   bool Has(const std::string& key) const { return options.count(key) > 0; }
 };
-
-/// Commands that accept one bare (non `--key value`) argument; everywhere
-/// else a bare token is a typo and parsing fails loudly.
-bool TakesPositional(const std::string& command) {
-  return command == "stats" || command == "tail" || command == "monitor" ||
-         command == "checkpoint" || command == "trace";
-}
 
 /// Flags that take no value; their presence sets the option to "1".
 bool IsBooleanFlag(const std::string& key) {
@@ -183,17 +179,17 @@ Result<std::pair<std::string, uint16_t>> ParseHostPort(
                         static_cast<uint16_t>(port));
 }
 
-/// Parses `homctl <command> [--flag] [--key value ...]`. Every option must
-/// start with "--"; a non-boolean option missing its value is an error
-/// (it used to be dropped silently, which hid typos like a trailing
-/// `--metrics-out`).
-Result<Args> ParseArgs(int argc, char** argv) {
+/// Parses the `[--flag] [--key value ...]` after `homctl <command>`. Every
+/// option must start with "--", and a non-boolean option missing its value
+/// is an error, so a typo like a trailing `--metrics-out` cannot pass
+/// unnoticed. Only commands that take a positional accept one bare
+/// argument; everywhere else a bare token is a typo.
+Result<Args> ParseArgs(int argc, char** argv, bool takes_positional) {
   Args args;
-  if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) {
-      if (TakesPositional(args.command) && args.positional.empty()) {
+      if (takes_positional && args.positional.empty()) {
         args.positional = key;
         continue;
       }
@@ -2007,28 +2003,58 @@ int CmdTrace(const Args& args) {
   return 0;
 }
 
-}  // namespace
+/// One homctl command: its handler, every option it reads (--verbose is
+/// accepted everywhere on top), and whether it takes one bare argument.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> options;
+  bool takes_positional = false;
+};
 
-int main(int argc, char** argv) {
-  auto args = ParseArgs(argc, argv);
-  if (!args.ok()) return Fail(args.status().ToString());
-  if (args->Has("verbose")) {
-    SetLogLevel(LogLevel::kDebug);
-    SetLogTimestamps(true);
-  }
-  if (args->command == "generate") return CmdGenerate(*args);
-  if (args->command == "build") return CmdBuild(*args);
-  if (args->command == "evaluate") return CmdEvaluate(*args);
-  if (args->command == "serve") return CmdServe(*args);
-  if (args->command == "swap") return CmdSwap(*args);
-  if (args->command == "inspect") return CmdInspect(*args);
-  if (args->command == "alerts") return CmdAlerts(*args);
-  if (args->command == "checkpoint") return CmdCheckpoint(*args);
-  if (args->command == "chaos") return CmdChaos(*args);
-  if (args->command == "stats") return CmdStats(*args);
-  if (args->command == "tail") return CmdTail(*args, /*follow=*/false);
-  if (args->command == "monitor") return CmdTail(*args, /*follow=*/true);
-  if (args->command == "trace") return CmdTrace(*args);
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"generate", CmdGenerate, {"stream", "n", "seed", "lambda", "out"}},
+      {"build",
+       CmdBuild,
+       {"stream", "in", "out", "seed", "threads", "metrics-out",
+        "trace-out"}},
+      {"evaluate",
+       CmdEvaluate,
+       {"model", "in", "labeled", "input-policy", "latency-sample",
+        "journal-out", "metrics-out", "trace-out", "stop-after", "resume",
+        "checkpoint-out", "checkpoint-every", "listen", "linger",
+        "progress-every", "monitor-every", "alerts-config", "slo",
+        "timeseries-retention", "calibration-every", "profile-out",
+        "profile-hz"}},
+      {"serve",
+       CmdServe,
+       {"model", "in", "passes", "listen", "input-policy", "journal-out",
+        "checkpoint-out", "checkpoint-every", "progress-every",
+        "monitor-every", "alerts-config", "slo", "timeseries-retention",
+        "calibration-every", "profile-out", "profile-hz", "replicate-to",
+        "ship-every", "primary-id", "standby", "promote-after", "replica-id",
+        "spans-out", "trace-seed"}},
+      {"swap", CmdSwap, {"target", "model"}},
+      {"inspect", CmdInspect, {"model"}},
+      {"alerts", CmdAlerts, {"config", "slo", "format"}},
+      {"checkpoint", CmdCheckpoint, {"in", "model"}, true},
+      {"chaos", CmdChaos, {"seed", "trials", "dir"}},
+      {"stats", CmdStats, {"in", "format"}, true},
+      {"tail",
+       [](const Args& args) { return CmdTail(args, /*follow=*/false); },
+       {"in", "follow"},
+       true},
+      {"monitor",
+       [](const Args& args) { return CmdTail(args, /*follow=*/true); },
+       {"in", "follow"},
+       true},
+      {"trace", CmdTrace, {"spans", "journals", "out"}, true},
+  };
+  return commands;
+}
+
+void PrintUsage() {
   std::fprintf(stderr,
                "usage: homctl <generate|build|evaluate|serve|swap|inspect|"
                "alerts|checkpoint|chaos|stats|tail|monitor|trace> "
@@ -2036,7 +2062,8 @@ int main(int argc, char** argv) {
                "  generate   --stream s --n N --seed S [--lambda L] --out "
                "f.csv\n"
                "  build      --stream s --in hist.csv --out model.hom"
-               " [--threads N] [--metrics-out m.json] [--trace-out t.json]\n"
+               " [--seed S] [--threads N]\n"
+               "             [--metrics-out m.json] [--trace-out t.json]\n"
                "  evaluate   --model model.hom --in test.csv [--labeled 0.1]"
                " [--metrics-out m.json]\n"
                "             [--journal-out e.jsonl] [--trace-out t.json]"
@@ -2078,5 +2105,33 @@ int main(int argc, char** argv) {
                "  monitor    e.jsonl\n"
                "  trace      merge --spans a.jsonl[,b.jsonl]"
                " [--journals x.jsonl[,y.jsonl]] [--out merged.json]\n");
-  return args->command.empty() ? 1 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Command* command = nullptr;
+  for (const Command& candidate : Commands()) {
+    if (argc >= 2 && candidate.name == std::string_view(argv[1])) {
+      command = &candidate;
+    }
+  }
+  if (command == nullptr) {
+    PrintUsage();
+    return argc < 2 ? 1 : 2;
+  }
+  auto args = ParseArgs(argc, argv, command->takes_positional);
+  if (!args.ok()) return Fail(args.status().ToString());
+  for (const auto& [key, value] : args->options) {
+    if (key != "verbose" &&
+        std::find(command->options.begin(), command->options.end(), key) ==
+            command->options.end()) {
+      return Fail("unknown option --" + key + " for '" + command->name + "'");
+    }
+  }
+  if (args->Has("verbose")) {
+    SetLogLevel(LogLevel::kDebug);
+    SetLogTimestamps(true);
+  }
+  return command->run(*args);
 }

@@ -52,6 +52,15 @@ expect empty_option 1 "empty option name" -- generate --
 expect unknown_stream 1 "unknown stream 'nope'" -- \
   generate --stream nope --out "$WORK/x.csv"
 expect build_needs_in 1 'requires --in' -- build
+# Options a command does not read are rejected, not silently ignored.
+expect unknown_option 1 "unknown option --bogus-flag for 'generate'" -- \
+  generate --stream stagger --n 100 --seed 1 --bogus-flag 7 \
+  --out "$WORK/x.csv"
+expect misspelled_option 1 "unknown option --labelled for 'evaluate'" -- \
+  evaluate --labelled 0.1
+expect other_commands_option 1 \
+  "unknown option --replicate-to for 'evaluate'" -- \
+  evaluate --replicate-to 127.0.0.1:9
 expect evaluate_needs_in 1 'requires --in' -- evaluate
 
 # --- missing / corrupt artifacts ----------------------------------------
