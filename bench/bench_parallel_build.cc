@@ -1,6 +1,8 @@
 // Parallel offline-build benchmark: thread sweep over the pooled phases of
 // concept clustering (leaf training, the initial adjacent ΔQ batch, step-2
-// sample prediction and pairwise distances).
+// sample prediction and pairwise distances). Step-1 rescoring and the final
+// concept classifiers also run on the pool, but inside spans that hold
+// serial work too, so they count in build_seconds only.
 //
 // For each stream (Stagger, Hyperplane) the same history is built at 1, 2,
 // 4, and 8 threads with the same seed. Reported per row:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "classifiers/compiled_tree.h"
@@ -11,16 +12,21 @@ namespace hom {
 
 namespace {
 
-double Entropy(const std::vector<double>& counts, double total) {
+double Entropy(const double* counts, size_t k, double total) {
   if (total <= 0.0) return 0.0;
   double h = 0.0;
-  for (double c : counts) {
+  for (size_t i = 0; i < k; ++i) {
+    double c = counts[i];
     if (c > 0.0) {
       double p = c / total;
       h -= p * std::log2(p);
     }
   }
   return h;
+}
+
+double Entropy(const std::vector<double>& counts, double total) {
+  return Entropy(counts.data(), counts.size(), total);
 }
 
 /// C4.5 release 8 "AddErrs": the expected number of extra errors at a leaf
@@ -66,6 +72,70 @@ Label ArgMax(const std::vector<double>& counts) {
 
 }  // namespace
 
+/// Rows are numbered 0..n-1 in view order. `rows` holds every node's
+/// segment [begin, end), and `ids` their row ids when there are numeric
+/// attributes. Each numeric attribute keeps one list of {value, label,
+/// row}, sorted by value once in Train(). A split stable-partitions the row
+/// segment and every list segment by branch, so each child's list segments
+/// stay sorted and cover the same [begin, end) in every list: no node sorts
+/// again.
+struct DecisionTree::Induction {
+  struct Entry {
+    double value;
+    Label label;
+    uint32_t row;
+  };
+
+  size_t n = 0;
+  std::vector<const Record*> rows;
+  std::vector<uint32_t> ids;
+  std::vector<size_t> numeric;  ///< indices of the numeric attributes
+  std::vector<Entry> lists;     ///< numeric.size() lists of n entries
+  std::vector<size_t> categorical;  ///< indices of the categorical ones
+  /// Where each categorical attribute's (category x class) counts start in
+  /// ChooseSplit's count cells, and how many cells there are.
+  std::vector<size_t> cell_offset;
+  size_t num_cells = 0;
+  /// Child of the current split, by position in the node's segment and,
+  /// for the lists, by row id.
+  std::vector<uint32_t> segment_branch;
+  std::vector<uint32_t> row_branch;
+  std::vector<size_t> next;
+  std::vector<const Record*> row_scratch;
+  std::vector<uint32_t> id_scratch;
+  std::vector<Entry> entry_scratch;
+
+  Entry* list(size_t j) { return lists.data() + j * n; }
+  const Entry* list(size_t j) const { return lists.data() + j * n; }
+
+  /// Stable partition of `data`'s [begin, end) by branch; child v lands at
+  /// [child_begin[v], child_begin[v + 1]).
+  template <typename T, typename BranchOf>
+  void Scatter(T* data, T* scratch, size_t begin, size_t end,
+               const std::vector<size_t>& child_begin, BranchOf branch_of) {
+    std::copy(data + begin, data + end, scratch);
+    next.assign(child_begin.begin(), child_begin.end() - 1);
+    for (size_t i = 0; i < end - begin; ++i) {
+      data[next[branch_of(i, scratch[i])]++] = scratch[i];
+    }
+  }
+
+  /// Partitions the row segment, its ids and every list segment.
+  void Partition(size_t begin, size_t end,
+                 const std::vector<size_t>& child_begin) {
+    auto by_position = [this](size_t i, auto) { return segment_branch[i]; };
+    Scatter(rows.data(), row_scratch.data(), begin, end, child_begin,
+            by_position);
+    if (numeric.empty()) return;
+    Scatter(ids.data(), id_scratch.data(), begin, end, child_begin,
+            by_position);
+    for (size_t j = 0; j < numeric.size(); ++j) {
+      Scatter(list(j), entry_scratch.data(), begin, end, child_begin,
+              [this](size_t, const Entry& e) { return row_branch[e.row]; });
+    }
+  }
+};
+
 DecisionTree::DecisionTree(SchemaPtr schema, DecisionTreeConfig config)
     : schema_(std::move(schema)), config_(config) {
   HOM_CHECK(schema_ != nullptr);
@@ -80,16 +150,53 @@ Status DecisionTree::Train(const DatasetView& data) {
   }
   nodes_.clear();
   compiled_.reset();
-  std::vector<const Record*> rows;
-  rows.reserve(data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
+  size_t n = data.size();
+  HOM_CHECK_LE(n, size_t{UINT32_MAX});
+  Induction ind;
+  ind.n = n;
+  ind.rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
     const Record& r = data.record(i);
     if (!r.is_labeled()) {
       return Status::InvalidArgument("training data contains unlabeled record");
     }
-    rows.push_back(&r);
+    ind.rows.push_back(&r);
   }
-  BuildNode(&rows, 0, rows.size(), 0);
+  ind.segment_branch.resize(n);
+  ind.row_scratch.resize(n);
+  for (size_t a = 0; a < schema_->num_attributes(); ++a) {
+    const Attribute& attr = schema_->attribute(a);
+    if (attr.is_numeric()) {
+      ind.numeric.push_back(a);
+    } else {
+      ind.categorical.push_back(a);
+      ind.cell_offset.push_back(ind.num_cells);
+      ind.num_cells += attr.cardinality() * schema_->num_classes();
+    }
+  }
+  if (!ind.numeric.empty()) {
+    ind.ids.resize(n);
+    for (size_t i = 0; i < n; ++i) ind.ids[i] = static_cast<uint32_t>(i);
+    ind.row_branch.resize(n);
+    ind.id_scratch.resize(n);
+    ind.entry_scratch.resize(n);
+  }
+  ind.lists.resize(ind.numeric.size() * n);
+  for (size_t j = 0; j < ind.numeric.size(); ++j) {
+    Induction::Entry* l = ind.list(j);
+    for (size_t i = 0; i < n; ++i) {
+      const Record& r = *ind.rows[i];
+      l[i] = {r.values[ind.numeric[j]], r.label, static_cast<uint32_t>(i)};
+    }
+    // Ties may land in any order: the split search reads class counts only
+    // at cuts between distinct values.
+    std::sort(l, l + n,
+              [](const Induction::Entry& x, const Induction::Entry& y) {
+                return x.value < y.value;
+              });
+  }
+
+  BuildNode(&ind, 0, n, 0);
   if (config_.prune) {
     PruneSubtree(0);
     // Drop orphaned nodes so num_nodes()/depth() reflect the pruned tree.
@@ -126,12 +233,12 @@ int32_t DecisionTree::MakeLeaf(const std::vector<double>& counts) {
   return static_cast<int32_t>(nodes_.size() - 1);
 }
 
-int32_t DecisionTree::BuildNode(std::vector<const Record*>* rows,
-                                size_t begin, size_t end, size_t depth) {
+int32_t DecisionTree::BuildNode(Induction* ind, size_t begin, size_t end,
+                                size_t depth) {
   HOM_DCHECK(begin < end);
   std::vector<double> counts(schema_->num_classes(), 0.0);
   for (size_t i = begin; i < end; ++i) {
-    counts[static_cast<size_t>((*rows)[i]->label)] += 1.0;
+    counts[static_cast<size_t>(ind->rows[i]->label)] += 1.0;
   }
   size_t n = end - begin;
   bool pure = false;
@@ -143,7 +250,7 @@ int32_t DecisionTree::BuildNode(std::vector<const Record*>* rows,
     return MakeLeaf(counts);
   }
 
-  SplitChoice split = ChooseSplit(*rows, begin, end, counts);
+  SplitChoice split = ChooseSplit(*ind, begin, end, counts);
   if (split.attribute < 0) {
     return MakeLeaf(counts);
   }
@@ -161,46 +268,42 @@ int32_t DecisionTree::BuildNode(std::vector<const Record*>* rows,
     me = static_cast<int32_t>(nodes_.size() - 1);
   }
 
+  // Route every row once, then partition the rows and the lists by branch.
+  size_t k = attr.is_numeric() ? 2 : attr.cardinality();
+  std::vector<size_t> child_begin(k + 1, 0);
+  for (size_t i = begin; i < end; ++i) {
+    const Record& r = *ind->rows[i];
+    uint32_t b;
+    if (attr.is_numeric()) {
+      b = r.values[split.attribute] <= split.threshold ? 0 : 1;
+    } else {
+      b = static_cast<uint32_t>(r.category(split.attribute));
+      HOM_DCHECK(b < k);
+    }
+    ind->segment_branch[i - begin] = b;
+    if (!ind->numeric.empty()) ind->row_branch[ind->ids[i]] = b;
+    ++child_begin[b + 1];
+  }
+  child_begin[0] = begin;
+  for (size_t v = 0; v < k; ++v) child_begin[v + 1] += child_begin[v];
+  HOM_DCHECK(!attr.is_numeric() ||
+             (child_begin[1] > begin && child_begin[1] < end));
+  ind->Partition(begin, end, child_begin);
+
   std::vector<int32_t> children;
-  if (attr.is_numeric()) {
-    auto mid = std::stable_partition(
-        rows->begin() + begin, rows->begin() + end,
-        [&](const Record* r) {
-          return r->values[split.attribute] <= split.threshold;
-        });
-    size_t cut = static_cast<size_t>(mid - rows->begin());
-    HOM_DCHECK(cut > begin && cut < end);
-    children.push_back(BuildNode(rows, begin, cut, depth + 1));
-    children.push_back(BuildNode(rows, cut, end, depth + 1));
-  } else {
-    // Counting sort of the subrange by category.
-    size_t k = attr.cardinality();
-    std::vector<std::vector<const Record*>> buckets(k);
-    for (size_t i = begin; i < end; ++i) {
-      buckets[static_cast<size_t>((*rows)[i]->category(split.attribute))]
-          .push_back((*rows)[i]);
-    }
-    size_t pos = begin;
-    std::vector<std::pair<size_t, size_t>> ranges(k);
-    for (size_t v = 0; v < k; ++v) {
-      size_t start = pos;
-      for (const Record* r : buckets[v]) (*rows)[pos++] = r;
-      ranges[v] = {start, pos};
-    }
-    for (size_t v = 0; v < k; ++v) {
-      if (ranges[v].first == ranges[v].second) {
-        // Empty branch: a weightless leaf predicting the parent majority
-        // (C4.5 behaviour). Contributes no errors to pruning.
-        Node leaf;
-        leaf.class_counts.assign(schema_->num_classes(), 0.0);
-        leaf.total = 0.0;
-        leaf.majority = nodes_[me].majority;
-        nodes_.push_back(std::move(leaf));
-        children.push_back(static_cast<int32_t>(nodes_.size() - 1));
-      } else {
-        children.push_back(
-            BuildNode(rows, ranges[v].first, ranges[v].second, depth + 1));
-      }
+  for (size_t v = 0; v < k; ++v) {
+    if (child_begin[v] == child_begin[v + 1]) {
+      // Empty categorical branch: a weightless leaf predicting the parent
+      // majority (C4.5 behaviour). Contributes no errors to pruning.
+      Node leaf;
+      leaf.class_counts.assign(schema_->num_classes(), 0.0);
+      leaf.total = 0.0;
+      leaf.majority = nodes_[me].majority;
+      nodes_.push_back(std::move(leaf));
+      children.push_back(static_cast<int32_t>(nodes_.size() - 1));
+    } else {
+      children.push_back(
+          BuildNode(ind, child_begin[v], child_begin[v + 1], depth + 1));
     }
   }
   nodes_[me].children = std::move(children);
@@ -208,7 +311,7 @@ int32_t DecisionTree::BuildNode(std::vector<const Record*>* rows,
 }
 
 DecisionTree::SplitChoice DecisionTree::ChooseSplit(
-    const std::vector<const Record*>& rows, size_t begin, size_t end,
+    const Induction& ind, size_t begin, size_t end,
     const std::vector<double>& counts) const {
   size_t n = end - begin;
   double total = static_cast<double>(n);
@@ -222,18 +325,37 @@ DecisionTree::SplitChoice DecisionTree::ChooseSplit(
     double split_info = 0.0;
   };
   std::vector<Candidate> candidates;
+  std::vector<double> left(num_classes);
+  std::vector<double> right(num_classes);
+  std::vector<double> branch_totals;
 
+  // Class counts per category of every categorical attribute, gathered in
+  // one pass over the rows.
+  std::vector<double> cells(ind.num_cells, 0.0);
+  if (!ind.categorical.empty()) {
+    for (size_t i = begin; i < end; ++i) {
+      const Record& r = *ind.rows[i];
+      size_t label = static_cast<size_t>(r.label);
+      for (size_t c = 0; c < ind.categorical.size(); ++c) {
+        size_t v = static_cast<size_t>(r.category(ind.categorical[c]));
+        cells[ind.cell_offset[c] + v * num_classes + label] += 1.0;
+      }
+    }
+  }
+
+  size_t list_index = 0;
+  size_t cell_index = 0;
   for (size_t a = 0; a < schema_->num_attributes(); ++a) {
     const Attribute& attr = schema_->attribute(a);
     if (attr.is_categorical()) {
       size_t k = attr.cardinality();
-      std::vector<double> branch_counts(k * num_classes, 0.0);
-      std::vector<double> branch_totals(k, 0.0);
-      for (size_t i = begin; i < end; ++i) {
-        size_t v = static_cast<size_t>(rows[i]->category(a));
-        branch_counts[v * num_classes +
-                      static_cast<size_t>(rows[i]->label)] += 1.0;
-        branch_totals[v] += 1.0;
+      const double* branch_counts =
+          cells.data() + ind.cell_offset[cell_index++];
+      branch_totals.assign(k, 0.0);
+      for (size_t v = 0; v < k; ++v) {
+        for (size_t c = 0; c < num_classes; ++c) {
+          branch_totals[v] += branch_counts[v * num_classes + c];
+        }
       }
       size_t populated = 0;
       size_t big_enough = 0;
@@ -250,62 +372,91 @@ DecisionTree::SplitChoice DecisionTree::ChooseSplit(
       double split_info = 0.0;
       for (size_t v = 0; v < k; ++v) {
         if (branch_totals[v] <= 0) continue;
-        std::vector<double> bc(branch_counts.begin() + v * num_classes,
-                               branch_counts.begin() + (v + 1) * num_classes);
-        cond += (branch_totals[v] / total) * Entropy(bc, branch_totals[v]);
+        cond += (branch_totals[v] / total) *
+                Entropy(branch_counts + v * num_classes, num_classes,
+                        branch_totals[v]);
         double p = branch_totals[v] / total;
         split_info -= p * std::log2(p);
       }
       double gain = base_entropy - cond;
       if (gain <= 1e-12) continue;
       candidates.push_back({static_cast<int>(a), 0.0, gain, split_info});
-    } else {
-      // Numeric attribute: sort (value, label) and sweep thresholds.
-      std::vector<std::pair<double, Label>> vals;
-      vals.reserve(n);
-      for (size_t i = begin; i < end; ++i) {
-        vals.emplace_back(rows[i]->values[a], rows[i]->label);
-      }
-      std::sort(vals.begin(), vals.end());
-      if (vals.front().first == vals.back().first) continue;  // constant
+      continue;
+    }
 
-      std::vector<double> left(num_classes, 0.0);
-      std::vector<double> right = counts;
-      double best_gain = -1.0;
-      double best_threshold = 0.0;
-      double best_split_info = 0.0;
-      size_t distinct_cuts = 0;
-      double min_leaf = static_cast<double>(config_.min_leaf_size);
-      double left_total = 0.0;
-      for (size_t i = 0; i + 1 < vals.size(); ++i) {
-        left[static_cast<size_t>(vals[i].second)] += 1.0;
-        right[static_cast<size_t>(vals[i].second)] -= 1.0;
+    // Numeric attribute: sweep the node's segment of the presorted list.
+    const Induction::Entry* vals = ind.list(list_index++) + begin;
+    if (vals[0].value == vals[n - 1].value) continue;  // constant
+
+    // Rows sharing one value form a group; cuts fall between groups. A
+    // group's class is -1 when its labels differ.
+    auto group_end = [&](size_t p, int* cls) {
+      size_t q = p + 1;
+      *cls = vals[p].label;
+      while (q < n && vals[q].value == vals[p].value) {
+        if (vals[q].label != *cls) *cls = -1;
+        ++q;
+      }
+      return q;
+    };
+    std::fill(left.begin(), left.end(), 0.0);
+    right = counts;
+    double best_gain = -1.0;
+    double best_threshold = 0.0;
+    double best_split_info = 0.0;
+    size_t distinct_cuts = 0;
+    double min_leaf = static_cast<double>(config_.min_leaf_size);
+    double left_total = 0.0;
+    bool seen_feasible = false;
+    int cls = -1;
+    size_t group_begin = 0;
+    size_t cut = group_end(0, &cls);
+    while (cut < n) {
+      for (size_t i = group_begin; i < cut; ++i) {
+        left[static_cast<size_t>(vals[i].label)] += 1.0;
+        right[static_cast<size_t>(vals[i].label)] -= 1.0;
         left_total += 1.0;
-        if (vals[i].first == vals[i + 1].first) continue;
-        ++distinct_cuts;
-        double right_total = total - left_total;
-        if (left_total < min_leaf || right_total < min_leaf) continue;
-        double cond = (left_total / total) * Entropy(left, left_total) +
-                      (right_total / total) * Entropy(right, right_total);
-        double gain = base_entropy - cond;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_threshold = (vals[i].first + vals[i + 1].first) / 2.0;
-          double pl = left_total / total;
-          double pr = right_total / total;
-          best_split_info = -(pl * std::log2(pl) + pr * std::log2(pr));
+      }
+      ++distinct_cuts;
+      int next_cls = -1;
+      size_t next_cut = group_end(cut, &next_cls);
+      double right_total = total - left_total;
+      if (left_total >= min_leaf && right_total >= min_leaf) {
+        // Only boundary cuts can hold the first maximum (Fayyad & Irani):
+        // between two groups pure in one class, n x conditional entropy is
+        // strictly concave in the cut, so it peaks in gain at a boundary
+        // or at an end of the feasible range.
+        bool first_feasible = !seen_feasible;
+        seen_feasible = true;
+        bool last_feasible =
+            next_cut == n ||
+            right_total - static_cast<double>(next_cut - cut) < min_leaf;
+        if (first_feasible || last_feasible || cls < 0 || cls != next_cls) {
+          double cond = (left_total / total) * Entropy(left, left_total) +
+                        (right_total / total) * Entropy(right, right_total);
+          double gain = base_entropy - cond;
+          if (gain > best_gain) {
+            best_gain = gain;
+            best_threshold = (vals[cut - 1].value + vals[cut].value) / 2.0;
+            double pl = left_total / total;
+            double pr = right_total / total;
+            best_split_info = -(pl * std::log2(pl) + pr * std::log2(pr));
+          }
         }
       }
-      if (best_gain < 0) continue;
-      // C4.5 release 8 MDL correction for continuous thresholds: charge
-      // log2(#candidate cuts)/n against the gain.
-      best_gain -=
-          std::log2(static_cast<double>(std::max<size_t>(distinct_cuts, 1))) /
-          total;
-      if (best_gain <= 1e-12) continue;
-      candidates.push_back(
-          {static_cast<int>(a), best_threshold, best_gain, best_split_info});
+      group_begin = cut;
+      cut = next_cut;
+      cls = next_cls;
     }
+    if (best_gain < 0) continue;
+    // C4.5 release 8 MDL correction for continuous thresholds: charge
+    // log2(#candidate cuts)/n against the gain.
+    best_gain -=
+        std::log2(static_cast<double>(std::max<size_t>(distinct_cuts, 1))) /
+        total;
+    if (best_gain <= 1e-12) continue;
+    candidates.push_back(
+        {static_cast<int>(a), best_threshold, best_gain, best_split_info});
   }
 
   SplitChoice choice;

@@ -85,11 +85,13 @@ class DecisionTree : public Classifier {
     double score = 0.0;  ///< gain ratio (or gain) of the chosen split.
   };
 
-  int32_t BuildNode(std::vector<const Record*>* rows, size_t begin,
-                    size_t end, size_t depth);
+  /// Train()'s working set: the rows and the presorted numeric attribute
+  /// lists (defined in decision_tree.cc).
+  struct Induction;
+
+  int32_t BuildNode(Induction* ind, size_t begin, size_t end, size_t depth);
   int32_t MakeLeaf(const std::vector<double>& counts);
-  SplitChoice ChooseSplit(const std::vector<const Record*>& rows,
-                          size_t begin, size_t end,
+  SplitChoice ChooseSplit(const Induction& ind, size_t begin, size_t end,
                           const std::vector<double>& counts) const;
   /// Post-order pessimistic pruning; returns the estimated error count of
   /// the (possibly collapsed) subtree rooted at `node`.

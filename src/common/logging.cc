@@ -46,7 +46,9 @@ std::string FormatTimestamp() {
                 1000;
   std::tm tm{};
   localtime_r(&seconds, &tm);
-  char buffer[32];
+  // Room for seven ints at their widest ("-2147483648") plus the six
+  // separators and the NUL, so no field value can truncate the stamp.
+  char buffer[7 * 11 + 6 + 1];
   std::snprintf(buffer, sizeof(buffer),
                 "%04d-%02d-%02d %02d:%02d:%02d.%03d", tm.tm_year + 1900,
                 tm.tm_mon + 1, tm.tm_mday, tm.tm_hour, tm.tm_min, tm.tm_sec,

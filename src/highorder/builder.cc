@@ -4,6 +4,7 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
+#include "par/thread_pool.h"
 
 namespace hom {
 
@@ -40,26 +41,40 @@ Result<std::unique_ptr<HighOrderClassifier>> HighOrderModelBuilder::Build(
   // the concept (all occurrences pooled), with Err_c taken from the
   // clustering holdout so ψ stays an honest error estimate.
   std::vector<ConceptModel> concepts;
-  concepts.reserve(clustering.concept_data.size());
+  uint64_t pool_tasks = clustering.pool_tasks;
   {
     obs::ScopedSpan span("classifier_training");
-    for (size_t c = 0; c < clustering.concept_data.size(); ++c) {
-      ConceptModel cm;
-      cm.training_records = clustering.concept_data[c].size();
-      if (config_.train_on_full_data) {
-        cm.model = base_factory_(history.schema());
-        HOM_RETURN_NOT_OK(cm.model->Train(clustering.concept_data[c]));
-        cm.error = clustering.concept_errors[c];
-      } else {
+    size_t num_concepts = clustering.concept_data.size();
+    if (config_.train_on_full_data) {
+      // Each tree trains on its own concept's records and draws no
+      // randomness, so the trees train concurrently.
+      par::ThreadPool pool(clustering.threads_used);
+      HOM_ASSIGN_OR_RETURN(
+          concepts,
+          par::ParallelMap<ConceptModel>(
+              &pool, num_concepts, [&](size_t c) -> Result<ConceptModel> {
+                ConceptModel cm;
+                cm.training_records = clustering.concept_data[c].size();
+                cm.model = base_factory_(history.schema());
+                HOM_RETURN_NOT_OK(cm.model->Train(clustering.concept_data[c]));
+                cm.error = clustering.concept_errors[c];
+                return cm;
+              }));
+      pool_tasks += pool.tasks_executed();
+    } else {
+      // The holdout splits draw from `rng` in concept order.
+      for (size_t c = 0; c < num_concepts; ++c) {
+        ConceptModel cm;
+        cm.training_records = clustering.concept_data[c].size();
         HOM_ASSIGN_OR_RETURN(
             HoldoutModel holdout,
             TrainHoldout(base_factory_, clustering.concept_data[c], rng));
         cm.model = std::move(holdout.model);
         cm.error = holdout.error;
+        concepts.push_back(std::move(cm));
       }
-      HOM_COUNTER_INC("hom.build.final_classifiers_trained");
-      concepts.push_back(std::move(cm));
     }
+    HOM_COUNTER_ADD("hom.build.final_classifiers_trained", num_concepts);
   }
 
   HOM_ASSIGN_OR_RETURN(
@@ -81,7 +96,7 @@ Result<std::unique_ptr<HighOrderClassifier>> HighOrderModelBuilder::Build(
     report->occurrences = clustering.occurrences;
     report->concept_errors = clustering.concept_errors;
     report->effective_threads = clustering.threads_used;
-    report->pool_tasks = clustering.pool_tasks;
+    report->pool_tasks = pool_tasks;
     report->concept_sizes.clear();
     for (const DatasetView& v : clustering.concept_data) {
       report->concept_sizes.push_back(v.size());

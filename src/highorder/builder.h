@@ -40,8 +40,8 @@ struct HighOrderBuildReport {
   /// Effective thread-pool size the clustering ran with (>= 1; see
   /// ConceptClusteringConfig::num_threads).
   size_t effective_threads = 1;
-  /// Tasks executed on pool worker threads during clustering (0 when
-  /// single-threaded).
+  /// Tasks executed on pool worker threads during clustering and final
+  /// training (0 when single-threaded).
   uint64_t pool_tasks = 0;
   /// Wall-clock phase tree of this build (root "build": block_partition,
   /// step1_chunk_merging, step2_concept_merging, classifier_training,

@@ -65,6 +65,25 @@ double ModelDistance(const ClusterNode& u, const ClusterNode& v) {
   return static_cast<double>(u.data.size() + v.data.size()) * (1.0 - sim);
 }
 
+/// The union w of clusters u and v (Algorithm 1 lines 14-16): D_w and its
+/// holdout halves, with no model yet.
+ClusterNode UnionOf(const ClusterNode& u, const ClusterNode& v) {
+  ClusterNode w;
+  w.data = DatasetView::Union(u.data, v.data);
+  w.train = DatasetView::Union(u.train, v.train);
+  w.test = DatasetView::Union(u.test, v.test);
+  return w;
+}
+
+/// Err* recursion (Algorithm 1 line 19): the best partition of D_w either
+/// keeps D_w whole or combines the best partitions of its halves.
+double ErrStar(const ClusterNode& w, const ClusterNode& u,
+               const ClusterNode& v) {
+  double nu = static_cast<double>(u.data.size());
+  double nv = static_cast<double>(v.data.size());
+  return std::min(w.err, (nu * u.err_star + nv * v.err_star) / (nu + nv));
+}
+
 }  // namespace
 
 ConceptClusterer::ConceptClusterer(ClassifierFactory base_factory,
@@ -109,10 +128,7 @@ Result<ClusterNode> ConceptClusterer::MakeLeaf(const DatasetView& data,
 
 Result<ClusterNode> ConceptClusterer::MergeNodes(const ClusterNode& u,
                                                  const ClusterNode& v) const {
-  ClusterNode w;
-  w.data = DatasetView::Union(u.data, v.data);
-  w.train = DatasetView::Union(u.train, v.train);
-  w.test = DatasetView::Union(u.test, v.test);
+  ClusterNode w = UnionOf(u, v);
   const ClusterNode& large = u.data.size() >= v.data.size() ? u : v;
   const ClusterNode& small = u.data.size() >= v.data.size() ? v : u;
   if (config_.reuse_on_unbalanced_merge &&
@@ -131,12 +147,7 @@ Result<ClusterNode> ConceptClusterer::MergeNodes(const ClusterNode& u,
     w.model = std::move(fresh);
   }
   w.err = EstimateError(*w.model, w.test);
-  double nu = static_cast<double>(u.data.size());
-  double nv = static_cast<double>(v.data.size());
-  // Err* recursion (Algorithm 1 line 19): the best partition of D_w either
-  // keeps D_w whole or combines the best partitions of its halves.
-  w.err_star =
-      std::min(w.err, (nu * u.err_star + nv * v.err_star) / (nu + nv));
+  w.err_star = ErrStar(w, u, v);
   return w;
 }
 
@@ -147,9 +158,9 @@ Result<CandidateMerge> ConceptClusterer::ScoreAdjacentMerge(
   DatasetView train = DatasetView::Union(nu.train, nv.train);
   DatasetView test = DatasetView::Union(nu.test, nv.test);
   // Training the union classifier here is what makes step-1 candidates
-  // expensive; the trained error is kept in the heap entry so the eventual
-  // merge can reuse it.
-  double err_w;
+  // expensive; the heap entry keeps the classifier and its error so the
+  // eventual merge adopts both instead of training again.
+  std::shared_ptr<Classifier> model;
   const ClusterNode* big = nu.data.size() >= nv.data.size() ? &nu : &nv;
   const ClusterNode* tiny = nu.data.size() >= nv.data.size() ? &nv : &nu;
   if (config_.reuse_on_unbalanced_merge &&
@@ -157,19 +168,20 @@ Result<CandidateMerge> ConceptClusterer::ScoreAdjacentMerge(
           config_.reuse_ratio * static_cast<double>(tiny->data.size())) {
     HOM_COUNTER_INC_LABELED("hom.cluster.classifiers_reused",
                             {{"phase", "score"}});
-    err_w = EstimateError(*big->model, test);
+    model = big->model;
   } else {
-    std::unique_ptr<Classifier> model = base_factory_(train.schema());
-    HOM_RETURN_NOT_OK(model->Train(train));
+    std::unique_ptr<Classifier> fresh = base_factory_(train.schema());
+    HOM_RETURN_NOT_OK(fresh->Train(train));
     HOM_COUNTER_INC_LABELED("hom.cluster.classifiers_trained",
                             {{"phase", "score"}});
-    err_w = EstimateError(*model, test);
+    model = std::move(fresh);
   }
+  double err_w = EstimateError(*model, test);
   double size_w = static_cast<double>(nu.data.size() + nv.data.size());
   double delta_q = size_w * err_w -
                    static_cast<double>(nu.data.size()) * nu.err -
                    static_cast<double>(nv.data.size()) * nv.err;
-  return CandidateMerge{delta_q, u, v, err_w};
+  return CandidateMerge{delta_q, u, v, err_w, std::move(model)};
 }
 
 bool ConceptClusterer::ShouldStopMerging(const ClusterNode& node) const {
@@ -271,7 +283,7 @@ Result<ConceptClusteringResult> ConceptClusterer::Cluster(
                                           dendro1.node(block_ids[i + 1]),
                                           block_ids[i], block_ids[i + 1]);
               }));
-      for (const CandidateMerge& c : initial) queue1.Push(c);
+      for (CandidateMerge& c : initial) queue1.Push(std::move(c));
     }
 
     // The merge loop itself is inherently sequential: each Pop depends on
@@ -279,9 +291,15 @@ Result<ConceptClusteringResult> ConceptClusterer::Cluster(
     // state, and post-merge candidates are at most two per iteration.
     CandidateMerge cand;
     while (queue1.Pop(&cand)) {
-      HOM_ASSIGN_OR_RETURN(
-          ClusterNode merged,
-          MergeNodes(dendro1.node(cand.u), dendro1.node(cand.v)));
+      // The candidate carries the union's classifier and holdout error from
+      // scoring. DecisionTree draws no randomness, so training again on the
+      // same view would rebuild the same tree.
+      const ClusterNode& nu = dendro1.node(cand.u);
+      const ClusterNode& nv = dendro1.node(cand.v);
+      ClusterNode merged = UnionOf(nu, nv);
+      merged.model = std::move(cand.model);
+      merged.err = cand.merged_err;
+      merged.err_star = ErrStar(merged, nu, nv);
       int32_t wid = dendro1.AddMerge(cand.u, cand.v, std::move(merged));
       HOM_COUNTER_INC_LABELED("hom.cluster.merges", {{"step", "1"}});
       queue1.Retire(cand.u);
@@ -304,20 +322,20 @@ Result<ConceptClusteringResult> ConceptClusterer::Cluster(
         HOM_COUNTER_INC("hom.cluster.early_terminations");
         continue;
       }
-      if (lhs >= 0 && queue1.IsLive(lhs)) {
-        HOM_ASSIGN_OR_RETURN(
-            CandidateMerge c,
-            ScoreAdjacentMerge(dendro1.node(lhs), dendro1.node(wid), lhs,
-                               wid));
-        queue1.Push(c);
-      }
-      if (rhs >= 0 && queue1.IsLive(rhs)) {
-        HOM_ASSIGN_OR_RETURN(
-            CandidateMerge c,
-            ScoreAdjacentMerge(dendro1.node(wid), dendro1.node(rhs), wid,
-                               rhs));
-        queue1.Push(c);
-      }
+      // Like the initial batch, the new neighbour candidates only read
+      // their two nodes: score them concurrently, push them in order.
+      std::vector<std::pair<int32_t, int32_t>> pairs;
+      if (lhs >= 0 && queue1.IsLive(lhs)) pairs.emplace_back(lhs, wid);
+      if (rhs >= 0 && queue1.IsLive(rhs)) pairs.emplace_back(wid, rhs);
+      HOM_ASSIGN_OR_RETURN(
+          std::vector<CandidateMerge> rescored,
+          par::ParallelMap<CandidateMerge>(
+              &pool, pairs.size(), [&](size_t i) -> Result<CandidateMerge> {
+                auto [a, b] = pairs[i];
+                return ScoreAdjacentMerge(dendro1.node(a), dendro1.node(b), a,
+                                          b);
+              }));
+      for (CandidateMerge& c : rescored) queue1.Push(std::move(c));
     }
 
     {
@@ -446,7 +464,8 @@ Result<ConceptClusteringResult> ConceptClusterer::Cluster(
       for (size_t i = 0; i < pairs.size(); ++i) {
         sim_cache_hits += 2 * SharedSamples(dendro2.node(pairs[i].first),
                                             dendro2.node(pairs[i].second));
-        queue2.Push({dists[i], pairs[i].first, pairs[i].second, 0.0});
+        queue2.Push(
+            {dists[i], pairs[i].first, pairs[i].second, 0.0, nullptr});
       }
       step2_candidates += pairs.size();
     }
@@ -485,7 +504,7 @@ Result<ConceptClusteringResult> ConceptClusterer::Cluster(
           sim_cache_hits +=
               2 * SharedSamples(dendro2.node(wid), dendro2.node(other));
           queue2.Push({ModelDistance(dendro2.node(wid), dendro2.node(other)),
-                       wid, other, 0.0});
+                       wid, other, 0.0, nullptr});
         }
       } else {
         HOM_COUNTER_INC("hom.cluster.early_terminations");

@@ -56,8 +56,10 @@ struct ConceptClusteringConfig {
   double step1_cut_z = 1.0;
   double step2_cut_z = 2.0;
   /// Thread-pool size for the offline build's parallel loops (leaf
-  /// training, the initial batch of adjacent ΔQ candidates, step-2 sample
-  /// prediction and pairwise distances). 0 = auto: the HOM_THREADS
+  /// training, the initial batch of adjacent ΔQ candidates and each
+  /// merge's two new ones, step-2 sample prediction and pairwise
+  /// distances, and the builder's final concept classifiers). 0 = auto:
+  /// the HOM_THREADS
   /// environment variable when set, else std::thread::hardware_concurrency.
   /// 1 runs everything inline on the calling thread. The clustering result
   /// — dendrogram, final cut, serialized model — is bit-identical at every
@@ -120,16 +122,18 @@ class ConceptClusterer {
   /// lines 2-7).
   Result<ClusterNode> MakeLeaf(const DatasetView& data, Rng* rng) const;
 
-  /// Merges two cluster nodes: unions data and holdout halves, retrains,
-  /// and applies the Err* recursion (Algorithm 1 lines 11-19).
+  /// Merges two step-2 cluster nodes: unions data and holdout halves,
+  /// retrains (or reuses, Section II-D), and applies the Err* recursion
+  /// (Algorithm 1 lines 11-19). Step-1 merges adopt the classifier their
+  /// candidate was scored with instead.
   Result<ClusterNode> MergeNodes(const ClusterNode& u,
                                  const ClusterNode& v) const;
 
   /// Scores the ΔQ candidate (Eq. 2) for adjacent clusters (u, v): trains
   /// (or reuses, Section II-D) the union classifier and returns the heap
-  /// entry carrying ΔQ and the trained error. Thread-safe: reads the nodes
-  /// and the factory only, so the initial batch of adjacent candidates is
-  /// scored concurrently.
+  /// entry carrying ΔQ, that classifier and its holdout error. Thread-safe:
+  /// reads the nodes and the factory only, so the initial batch and each
+  /// merge's two new neighbour candidates are scored concurrently.
   Result<CandidateMerge> ScoreAdjacentMerge(const ClusterNode& u_node,
                                             const ClusterNode& v_node,
                                             int32_t u, int32_t v) const;

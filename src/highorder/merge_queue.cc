@@ -1,6 +1,7 @@
 #include "highorder/merge_queue.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -30,18 +31,18 @@ void MergeQueue::Push(CandidateMerge candidate) {
   HOM_CHECK(IsLive(candidate.u)) << "candidate with retired cluster";
   HOM_CHECK(IsLive(candidate.v)) << "candidate with retired cluster";
   HOM_COUNTER_INC("hom.merge_queue.pushes");
-  heap_.push_back(candidate);
+  heap_.push_back(std::move(candidate));
   std::push_heap(heap_.begin(), heap_.end(), ByDistance());
 }
 
 bool MergeQueue::Pop(CandidateMerge* out) {
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), ByDistance());
-    CandidateMerge top = heap_.back();
+    CandidateMerge top = std::move(heap_.back());
     heap_.pop_back();
     if (IsLive(top.u) && IsLive(top.v)) {
       HOM_COUNTER_INC("hom.merge_queue.pops");
-      *out = top;
+      *out = std::move(top);
       return true;
     }
     // Lazy deletion: entries referring to retired clusters are discarded

@@ -3,18 +3,25 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace hom {
 
+class Classifier;
+
 /// One candidate merger (u, v) with its distance key, plus whatever
-/// precomputed merge statistics the clustering step wants to carry (the
-/// step-1 strategy stores the merged holdout error so it is not recomputed).
+/// precomputed merge statistics the clustering step wants to carry (step 1
+/// stores the union's classifier and holdout error, so the merge adopts
+/// them instead of training again).
 struct CandidateMerge {
   double distance = 0.0;
   int32_t u = -1;
   int32_t v = -1;
   double merged_err = 0.0;  ///< Err_w of the candidate union (step 1 only).
+  /// M_w of the candidate union: trained on it, or the large side's model
+  /// when Section II-D reuse applies (step 1 only).
+  std::shared_ptr<Classifier> model;
 };
 
 /// \brief The min-heap of candidate mergers from Section II-C.1 ("a

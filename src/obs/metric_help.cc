@@ -31,9 +31,13 @@ constexpr HelpEntry kBuiltinHelp[] = {
      "Merge candidates considered during concept clustering."},
     {"hom.cluster.chunks", "Input chunks fed to concept clustering."},
     {"hom.cluster.classifiers_reused",
-     "Classifier trainings avoided by reuse during clustering."},
+     "Classifier trainings avoided by reuse during clustering, by phase: "
+     "step-1 candidate scoring or step-2 merge. Step-1 merges adopt the "
+     "scored classifier and count in neither."},
     {"hom.cluster.classifiers_trained",
-     "Classifiers trained during concept clustering."},
+     "Classifiers trained during concept clustering, by phase: leaf block, "
+     "step-1 candidate scoring or step-2 merge. Step-1 merges adopt the "
+     "scored classifier and count in neither."},
     {"hom.cluster.concepts", "Stable concepts in the final clustering."},
     {"hom.cluster.early_terminations",
      "Merge evaluations cut short by the quality bound."},

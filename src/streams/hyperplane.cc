@@ -1,6 +1,7 @@
 #include "streams/hyperplane.h"
 
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 
@@ -23,7 +24,9 @@ HyperplaneGenerator::HyperplaneGenerator(uint64_t seed,
 
   std::vector<Attribute> attrs;
   for (size_t i = 0; i < config_.dims; ++i) {
-    attrs.push_back(Attribute::Numeric("x" + std::to_string(i)));
+    std::string name = "x";
+    name += std::to_string(i);
+    attrs.push_back(Attribute::Numeric(std::move(name)));
   }
   schema_ = Schema::Make(std::move(attrs), {"negative", "positive"})
                 .ValueOrDie();

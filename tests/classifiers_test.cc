@@ -4,6 +4,8 @@
 #include <cmath>
 #include <memory>
 #include <ostream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -21,7 +23,9 @@ namespace {
 SchemaPtr NumericSchema(size_t dims) {
   std::vector<Attribute> attrs;
   for (size_t i = 0; i < dims; ++i) {
-    attrs.push_back(Attribute::Numeric("x" + std::to_string(i)));
+    std::string name = "x";
+    name += std::to_string(i);
+    attrs.push_back(Attribute::Numeric(std::move(name)));
   }
   return Schema::Make(std::move(attrs), {"neg", "pos"}).ValueOrDie();
 }

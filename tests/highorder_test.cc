@@ -85,9 +85,9 @@ TEST(BlockPartitionTest, BlockSmallerThanStream) {
 TEST(MergeQueueTest, PopsInDistanceOrder) {
   MergeQueue q;
   for (int32_t id = 0; id < 4; ++id) q.RegisterCluster(id);
-  q.Push({3.0, 0, 1, 0.0});
-  q.Push({1.0, 1, 2, 0.0});
-  q.Push({2.0, 2, 3, 0.0});
+  q.Push({3.0, 0, 1, 0.0, nullptr});
+  q.Push({1.0, 1, 2, 0.0, nullptr});
+  q.Push({2.0, 2, 3, 0.0, nullptr});
   CandidateMerge c;
   ASSERT_TRUE(q.Pop(&c));
   EXPECT_EQ(c.distance, 1.0);
@@ -98,8 +98,8 @@ TEST(MergeQueueTest, PopsInDistanceOrder) {
 TEST(MergeQueueTest, LazyRetireSkipsStaleEntries) {
   MergeQueue q;
   for (int32_t id = 0; id < 4; ++id) q.RegisterCluster(id);
-  q.Push({1.0, 0, 1, 0.0});
-  q.Push({2.0, 2, 3, 0.0});
+  q.Push({1.0, 0, 1, 0.0, nullptr});
+  q.Push({2.0, 2, 3, 0.0, nullptr});
   q.Retire(0);
   CandidateMerge c;
   ASSERT_TRUE(q.Pop(&c));
@@ -110,8 +110,8 @@ TEST(MergeQueueTest, LazyRetireSkipsStaleEntries) {
 TEST(MergeQueueTest, DeterministicTieBreak) {
   MergeQueue q;
   for (int32_t id = 0; id < 4; ++id) q.RegisterCluster(id);
-  q.Push({1.0, 2, 3, 0.0});
-  q.Push({1.0, 0, 1, 0.0});
+  q.Push({1.0, 2, 3, 0.0, nullptr});
+  q.Push({1.0, 0, 1, 0.0, nullptr});
   CandidateMerge c;
   ASSERT_TRUE(q.Pop(&c));
   EXPECT_EQ(c.u, 0);  // lower id pair first on equal distance
@@ -528,6 +528,38 @@ TEST(BuildReportObservabilityTest, OptimizationCountersFire) {
   EXPECT_EQ(counter("hom.cluster.chunks"), report.num_chunks);
   EXPECT_EQ(counter("hom.cluster.concepts"), report.num_concepts);
   EXPECT_EQ(counter("hom.build.records"), 6000u);
+}
+
+TEST(BuildReportObservabilityTest, StepOneMergesAdoptTheirScoredClassifier) {
+  Dataset history = TwoConceptHistory(6000, 124);
+  HighOrderBuildConfig config;
+  // Reuse on mildly unbalanced merges, so that both scoring and step-2
+  // merging reuse as well as train.
+  config.clustering.reuse_ratio = 4.0;
+  HighOrderModelBuilder builder(DecisionTree::Factory(), config);
+  Rng rng(125);
+  HighOrderBuildReport report;
+  auto clf = builder.Build(history, &rng, &report);
+  ASSERT_TRUE(clf.ok()) << clf.status().ToString();
+
+  auto counter = [&report](const char* name) -> uint64_t {
+    auto it = report.counters.find(name);
+    return it == report.counters.end() ? 0 : it->second;
+  };
+  uint64_t step1_merges = counter("hom.cluster.merges{step=\"1\"}");
+  uint64_t step2_merges = counter("hom.cluster.merges{step=\"2\"}");
+  ASSERT_GT(step1_merges, 0u);
+  ASSERT_GT(step2_merges, 0u);
+  EXPECT_GT(counter("hom.cluster.classifiers_reused{phase=\"score\"}"), 0u);
+  // Scoring trains or reuses one classifier per step-1 candidate...
+  EXPECT_EQ(counter("hom.cluster.classifiers_trained{phase=\"score\"}") +
+                counter("hom.cluster.classifiers_reused{phase=\"score\"}"),
+            counter("hom.cluster.candidates{step=\"1\"}"));
+  // ...and a step-1 merge adopts its candidate's, so only step-2 merges
+  // train or reuse.
+  EXPECT_EQ(counter("hom.cluster.classifiers_trained{phase=\"merge\"}") +
+                counter("hom.cluster.classifiers_reused{phase=\"merge\"}"),
+            step2_merges);
 }
 
 TEST(OnlineObservabilityTest, ObservationsAndEvaluationsAreCounted) {

@@ -234,7 +234,9 @@ TEST(TimeSeriesStoreTest, MemoryBoundIsFixedByOptions) {
   TimeSeriesStore store(options);
   MetricsSnapshot snapshot;
   for (int i = 0; i < 50; ++i) {
-    snapshot.gauges["g" + std::to_string(i)] = i;
+    std::string name = "g";
+    name += std::to_string(i);
+    snapshot.gauges[name] = i;
   }
   for (int t = 0; t < 100; ++t) store.Tick(snapshot, t);
   TimeSeriesStore::Stats stats = store.GetStats();

@@ -10,8 +10,9 @@ that the drifting stream must violate it, then polls /alertz until the
 `windowed-error-above-slo` rule reaches `firing` (with a fire record and
 a finite value), cross-checks `hom.alerts.firing` on /metrics and the
 alerts summary on /statusz, queries the windowed-error series over
-/timeseriesz in both raw and rate mode, then SIGTERMs the server and
-asserts a graceful drain plus `alert_firing` events in the journal file.
+/timeseriesz in rate mode and polls it in raw mode until a positive
+point shows, then SIGTERMs the server and asserts a graceful drain plus
+`alert_firing` events in the journal file.
 
 Determinism phase — runs the same monitored `homctl evaluate` twice
 (identical flags, fresh process each time) and requires the two journals
@@ -35,6 +36,10 @@ import urllib.error
 import urllib.request
 
 ALERT_RULE = "windowed-error-above-slo"
+
+# How long the live phase polls an endpoint for a state the drifting
+# stream must reach.
+POLL_SECONDS = 30.0
 
 # Journal JSONL schema versions this script understands. v2 added the
 # header line and optional per-event trace_id/span_id; an unknown version
@@ -125,7 +130,7 @@ def live_phase(homctl, model, online, tmp, failures):
         # Poll until the SLO rule fires (the drifting stream guarantees
         # windowed error above 0.0001 within the first passes).
         fired = None
-        deadline = time.time() + 30.0
+        deadline = time.time() + POLL_SECONDS
         while time.time() < deadline and fired is None:
             _, alertz = fetch(base + "/alertz")
             doc = json.loads(alertz)
@@ -180,10 +185,21 @@ def live_phase(homctl, model, online, tmp, failures):
 
         series = "hom.serving.windowed_error_rate"
         for mode in ("raw", "rate"):
-            _, payload = fetch("%s/timeseriesz?series=%s&window=20&mode=%s" %
-                               (base, series, mode))
-            doc = json.loads(payload)
-            points = doc.get("points", [])
+            # The served model can make no error for a whole 20-tick
+            # window, so raw mode polls until a positive point shows.
+            deadline = time.time() + POLL_SECONDS
+            while True:
+                _, payload = fetch(
+                    "%s/timeseriesz?series=%s&window=20&mode=%s" %
+                    (base, series, mode))
+                doc = json.loads(payload)
+                points = doc.get("points", [])
+                positive = any(
+                    isinstance(p["value"], (int, float)) and p["value"] > 0
+                    for p in points)
+                if mode != "raw" or positive or time.time() >= deadline:
+                    break
+                time.sleep(0.2)
             if doc.get("mode") != mode or not points:
                 failures.append("/timeseriesz %s: no points for %s" %
                                 (mode, series))
@@ -191,11 +207,9 @@ def live_phase(homctl, model, online, tmp, failures):
             ticks = [p["tick"] for p in points]
             if ticks != sorted(ticks):
                 failures.append("/timeseriesz %s: ticks not ascending" % mode)
-            if mode == "raw" and not any(
-                    isinstance(p["value"], (int, float)) and p["value"] > 0
-                    for p in points):
+            if mode == "raw" and not positive:
                 failures.append("/timeseriesz raw: windowed error never "
-                                "positive in the sampled window")
+                                "positive within %.0f s" % POLL_SECONDS)
 
         serve.send_signal(signal.SIGTERM)
         out, _ = serve.communicate(timeout=30)
