@@ -1,10 +1,12 @@
-// Sampling-profiler overhead bench (DESIGN.md §11): what does continuous
+// Profiling overhead bench (DESIGN.md §11): what does continuous
 // profiling cost? Runs the same prequential evaluation with the profiler
 // off and on (default 99 Hz), compares median wall times, verifies the
 // profile is non-empty and symbolizes into hom:: frames, and — as the
 // determinism anchor the baseline gate watches — that profiling changes
-// no prediction. The committed baseline pins overhead_ratio, gated by
-// bench_compare's "overhead" policy.
+// no prediction. A second row does the same for the per-request stage
+// timer `homctl serve` keeps on, over the Intrusion stream with every
+// record labeled. The committed baseline pins both overhead_ratio values,
+// gated by bench_compare's "overhead" policy.
 
 #include <algorithm>
 #include <cstdio>
@@ -20,6 +22,8 @@
 #include "highorder/builder.h"
 #include "highorder/serialization.h"
 #include "obs/prof.h"
+#include "obs/request_timer.h"
+#include "streams/intrusion.h"
 #include "streams/stagger.h"
 
 namespace {
@@ -29,11 +33,40 @@ using hom::bench::BenchReporter;
 using hom::bench::PrintRule;
 using hom::bench::Scale;
 
+/// Builds a high-order model from `history` and returns its serialized
+/// bytes, so every timed run can start from a fresh copy.
+Result<std::string> BuildModelBytes(const Dataset& history) {
+  HighOrderModelBuilder builder(DecisionTree::Factory());
+  Rng rng(29);
+  HOM_ASSIGN_OR_RETURN(std::unique_ptr<HighOrderClassifier> built,
+                       builder.Build(history, &rng));
+  std::stringstream buffer;
+  HOM_RETURN_NOT_OK(SaveHighOrderModel(&buffer, *built));
+  return buffer.str();
+}
+
 std::unique_ptr<HighOrderClassifier> Reload(const std::string& bytes) {
   std::stringstream buffer(bytes);
   auto model = LoadHighOrderModel(&buffer);
   HOM_CHECK(model.ok());
   return std::move(*model);
+}
+
+/// Serves `test` `passes` times through one fresh copy of the model, as
+/// `homctl serve --passes` does. Returns the summed loop seconds and sets
+/// `*errors` to the summed error count.
+double ServePasses(const std::string& model_bytes, const Dataset& test,
+                   size_t passes, const PrequentialOptions& options,
+                   size_t* errors) {
+  auto model = Reload(model_bytes);
+  double seconds = 0.0;
+  *errors = 0;
+  for (size_t pass = 0; pass < passes; ++pass) {
+    PrequentialResult result = RunPrequential(model.get(), test, options);
+    seconds += result.seconds;
+    *errors += result.num_errors;
+  }
+  return seconds;
 }
 
 double Median(std::vector<double> values) {
@@ -53,16 +86,12 @@ int main() {
   Dataset history = gen.Generate(scale.stagger_history);
   Dataset test = gen.Generate(scale.stagger_test);
 
-  HighOrderModelBuilder builder(DecisionTree::Factory());
-  Rng rng(29);
-  auto built = builder.Build(history, &rng);
+  auto built = BuildModelBytes(history);
   if (!built.ok()) {
     std::printf("build failed: %s\n", built.status().ToString().c_str());
     return 1;
   }
-  std::stringstream buffer;
-  HOM_CHECK(SaveHighOrderModel(&buffer, **built).ok());
-  const std::string model_bytes = buffer.str();
+  const std::string model_bytes = std::move(*built);
 
   BenchReporter reporter("bench_profile");
   reporter.SetScale(scale);
@@ -70,6 +99,11 @@ int main() {
   PrintRule(64);
 
   const size_t reps = std::max<size_t>(scale.runs, 5);
+  // The profiler's timer runs on process CPU time, so a window shorter
+  // than its 99 Hz period takes no sample at all. One pass over the
+  // reduced-scale test takes about 7 ms of CPU; four make every profiled
+  // window a few periods long.
+  const size_t profiled_passes = 4;
   // Interleave off/on reps so drift (thermal, cache warm-up) hits both
   // sides evenly instead of biasing whichever side runs last.
   std::vector<double> off_seconds, on_seconds;
@@ -77,22 +111,16 @@ int main() {
   uint64_t total_samples = 0;
   obs::ProfileData merged;
   for (size_t rep = 0; rep < reps; ++rep) {
+    off_seconds.push_back(
+        ServePasses(model_bytes, test, profiled_passes, {}, &off_errors));
     {
-      auto model = Reload(model_bytes);
-      PrequentialResult result = RunPrequential(model.get(), test);
-      off_seconds.push_back(result.seconds);
-      off_errors = result.num_errors;
-    }
-    {
-      auto model = Reload(model_bytes);
       Status st = obs::SamplingProfiler::Global().Start({});
       bool profiling = st.ok();
       if (!profiling) {
         std::printf("profiler unavailable: %s\n", st.ToString().c_str());
       }
-      PrequentialResult result = RunPrequential(model.get(), test);
-      on_seconds.push_back(result.seconds);
-      on_errors = result.num_errors;
+      on_seconds.push_back(
+          ServePasses(model_bytes, test, profiled_passes, {}, &on_errors));
       if (profiling) {
         obs::ProfileData window = obs::SamplingProfiler::Global().Collect();
         total_samples += window.samples.size();
@@ -147,6 +175,80 @@ int main() {
     return 1;
   }
 #endif
+
+  // The request timer homctl serve keeps on: time 1 request in 64 (plus
+  // checkpointing records, none here) and only count the rest. Measured on
+  // the stream and labeling serve-intrusion runs. The timer costs a few
+  // percent of the loop, about as much as a shared host drifts from one
+  // rep to the next, so each rep serves two copies of the model, one timed
+  // and one not, pass by pass in turn (alternating which goes first), and
+  // the overhead is the median of the reps' on/off ratios.
+  IntrusionConfig intrusion_config;
+  intrusion_config.lambda = scale.intrusion_lambda;
+  IntrusionGenerator intrusion(88002, intrusion_config);
+  Dataset intrusion_history = intrusion.Generate(scale.intrusion_history);
+  Dataset intrusion_test = intrusion.Generate(scale.intrusion_test);
+  auto intrusion_built = BuildModelBytes(intrusion_history);
+  if (!intrusion_built.ok()) {
+    std::printf("build failed: %s\n",
+                intrusion_built.status().ToString().c_str());
+    return 1;
+  }
+  const std::string intrusion_bytes = std::move(*intrusion_built);
+  const size_t serve_passes = 3;
+  std::vector<double> untimed_seconds, timed_seconds, timer_ratios;
+  size_t untimed_errors = 0, timed_errors = 0;
+  uint64_t timed_requests = 0;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    obs::RequestTimer request_timer;
+    PrequentialOptions timed_options;
+    timed_options.request_timer = &request_timer;
+    auto untimed_model = Reload(intrusion_bytes);
+    auto timed_model = Reload(intrusion_bytes);
+    double untimed = 0.0, timed = 0.0;
+    for (size_t pass = 0; pass < serve_passes; ++pass) {
+      for (int side = 0; side < 2; ++side) {
+        if ((side == 0) == ((rep + pass) % 2 == 0)) {
+          PrequentialResult result =
+              RunPrequential(untimed_model.get(), intrusion_test);
+          untimed += result.seconds;
+          untimed_errors += result.num_errors;
+        } else {
+          PrequentialResult result = RunPrequential(
+              timed_model.get(), intrusion_test, timed_options);
+          timed += result.seconds;
+          timed_errors += result.num_errors;
+        }
+      }
+    }
+    untimed_seconds.push_back(untimed);
+    timed_seconds.push_back(timed);
+    timer_ratios.push_back(untimed > 0.0 ? timed / untimed : 1.0);
+    timed_requests = request_timer.requests();
+  }
+  double untimed_median = Median(untimed_seconds);
+  double timed_median = Median(timed_seconds);
+  double timer_ratio = Median(timer_ratios);
+  std::printf("%-36s %10.4f s\n", "serve loop (timer off, median)",
+              untimed_median);
+  std::printf("%-36s %10.4f s\n", "serve loop (timer on, median)",
+              timed_median);
+  std::printf("%-36s %10.4f\n", "overhead ratio (median on/off)",
+              timer_ratio);
+  std::printf("%-36s %10zu vs %zu\n", "errors (off vs on)", untimed_errors,
+              timed_errors);
+  reporter.AddValue("request_timer/off", "median_seconds", untimed_median);
+  reporter.AddValue("request_timer/on", "median_seconds", timed_median);
+  reporter.AddValue("request_timer/on", "requests",
+                    static_cast<double>(timed_requests));
+  reporter.AddValue("request_timer/overhead", "overhead_ratio", timer_ratio);
+  reporter.AddValue("request_timer/determinism", "match",
+                    untimed_errors == timed_errors ? 1.0 : 0.0);
+  if (untimed_errors != timed_errors) {
+    std::printf("REQUEST TIMING CHANGED RESULTS: %zu vs %zu errors\n",
+                untimed_errors, timed_errors);
+    return 1;
+  }
 
   if (Status st = reporter.WriteJson(); !st.ok()) {
     std::printf("telemetry write failed: %s\n", st.ToString().c_str());

@@ -31,13 +31,20 @@ Result<InputPolicy> InputPolicyFromName(std::string_view name) {
 
 namespace {
 
-/// A categorical value is usable when it is finite and encodes an index
-/// inside the vocabulary. Checked on the double BEFORE any int cast: the
-/// cast of a NaN/out-of-range double is undefined behaviour.
-bool CategoricalOk(double v, size_t cardinality) {
+/// A value is usable when it is finite and, for a categorical attribute,
+/// encodes an index inside the vocabulary. `cardinality` 0 marks a numeric
+/// attribute (a categorical one has at least two categories). Checked on
+/// the double BEFORE any int cast: the cast of a NaN/out-of-range double
+/// is undefined behaviour.
+bool FieldOk(double v, size_t cardinality) {
+  if (cardinality == 0) return std::isfinite(v);
   return std::isfinite(v) && v >= 0.0 &&
-         v < static_cast<double>(cardinality) &&
-         v == std::floor(v);
+         v < static_cast<double>(cardinality) && v == std::floor(v);
+}
+
+bool LabelOk(Label label, size_t num_classes) {
+  return label == kUnlabeled ||
+         (label >= 0 && static_cast<size_t>(label) < num_classes);
 }
 
 /// Index of the most frequent entry; ties and all-zero counts resolve to
@@ -66,34 +73,26 @@ InputSanitizer::InputSanitizer(SchemaPtr schema)
 }
 
 bool InputSanitizer::IsClean(const Record& r) const {
-  if (r.values.size() != schema_->num_attributes()) return false;
-  for (size_t i = 0; i < r.values.size(); ++i) {
-    const Attribute& attr = schema_->attribute(i);
-    double v = r.values[i];
-    if (attr.is_categorical()) {
-      if (!CategoricalOk(v, attr.cardinality())) return false;
-    } else if (!std::isfinite(v)) {
-      return false;
-    }
+  const size_t n = category_counts_.size();
+  if (r.values.size() != n) return false;
+  const double* values = r.values.data();
+  for (size_t i = 0; i < n; ++i) {
+    if (!FieldOk(values[i], category_counts_[i].size())) return false;
   }
-  if (r.label != kUnlabeled &&
-      (r.label < 0 ||
-       static_cast<size_t>(r.label) >= schema_->num_classes())) {
-    return false;
-  }
-  return true;
+  return LabelOk(r.label, label_counts_.size());
 }
 
 void InputSanitizer::Learn(const Record& r) {
   HOM_DCHECK(IsClean(r));
-  for (size_t i = 0; i < r.values.size(); ++i) {
-    const Attribute& attr = schema_->attribute(i);
-    if (attr.is_categorical()) {
-      ++category_counts_[i][static_cast<size_t>(r.values[i])];
+  const size_t n = category_counts_.size();
+  const double* values = r.values.data();
+  for (size_t i = 0; i < n; ++i) {
+    if (!category_counts_[i].empty()) {
+      ++category_counts_[i][static_cast<size_t>(values[i])];
     } else {
       // Running mean, numerically stable for long streams.
       ++counts_[i];
-      means_[i] += (r.values[i] - means_[i]) / static_cast<double>(counts_[i]);
+      means_[i] += (values[i] - means_[i]) / static_cast<double>(counts_[i]);
     }
   }
   if (r.is_labeled()) ++label_counts_[static_cast<size_t>(r.label)];
@@ -134,7 +133,7 @@ Status InputSanitizer::SaveTo(BinaryWriter* writer) const {
 }
 
 Status InputSanitizer::RestoreFrom(BinaryReader* reader) {
-  size_t n = schema_->num_attributes();
+  size_t n = category_counts_.size();
   HOM_ASSIGN_OR_RETURN(std::vector<double> means, reader->ReadDoubleVector());
   if (means.size() != n) {
     return Status::InvalidArgument("sanitizer means arity mismatch");
@@ -150,10 +149,10 @@ Status InputSanitizer::RestoreFrom(BinaryReader* reader) {
   for (size_t i = 0; i < n; ++i) {
     HOM_ASSIGN_OR_RETURN(
         category_counts[i],
-        ReadU64Vector(reader, schema_->attribute(i).cardinality()));
+        ReadU64Vector(reader, category_counts_[i].size()));
   }
   HOM_ASSIGN_OR_RETURN(std::vector<uint64_t> label_counts,
-                       ReadU64Vector(reader, schema_->num_classes()));
+                       ReadU64Vector(reader, label_counts_.size()));
   means_ = std::move(means);
   counts_ = std::move(counts);
   category_counts_ = std::move(category_counts);
@@ -164,26 +163,20 @@ Status InputSanitizer::RestoreFrom(BinaryReader* reader) {
 InputSanitizer::Report InputSanitizer::Repair(Record* r) const {
   HOM_CHECK(r != nullptr);
   Report report;
-  if (r->values.size() != schema_->num_attributes()) {
+  const size_t n = category_counts_.size();
+  if (r->values.size() != n) {
     report.arity_ok = false;
     return report;
   }
-  for (size_t i = 0; i < r->values.size(); ++i) {
-    const Attribute& attr = schema_->attribute(i);
-    double v = r->values[i];
-    if (attr.is_categorical()) {
-      if (!CategoricalOk(v, attr.cardinality())) {
-        r->values[i] = static_cast<double>(MajorityIndex(category_counts_[i]));
-        ++report.repaired_fields;
-      }
-    } else if (!std::isfinite(v)) {
-      r->values[i] = means_[i];
-      ++report.repaired_fields;
-    }
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<uint64_t>& categories = category_counts_[i];
+    if (FieldOk(r->values[i], categories.size())) continue;
+    r->values[i] = categories.empty()
+                       ? means_[i]
+                       : static_cast<double>(MajorityIndex(categories));
+    ++report.repaired_fields;
   }
-  if (r->label != kUnlabeled &&
-      (r->label < 0 ||
-       static_cast<size_t>(r->label) >= schema_->num_classes())) {
+  if (!LabelOk(r->label, label_counts_.size())) {
     r->label = static_cast<Label>(MajorityIndex(label_counts_));
     report.label_repaired = true;
   }

@@ -86,9 +86,11 @@ class InputSanitizer {
   /// Running mean per attribute (used for numeric imputation).
   std::vector<double> means_;
   std::vector<uint64_t> counts_;
-  /// Per categorical attribute: observed frequency of each category.
+  /// Per categorical attribute: observed frequency of each category. Empty
+  /// for a numeric attribute, so each size is the attribute's cardinality
+  /// (0 = numeric) and the per-record checks need not ask the schema.
   std::vector<std::vector<uint64_t>> category_counts_;
-  /// Observed frequency of each class label.
+  /// Observed frequency of each class label; its size is the class count.
   std::vector<uint64_t> label_counts_;
 };
 

@@ -34,11 +34,6 @@ Result<std::shared_ptr<const Schema>> Schema::Make(
       new Schema(std::move(attributes), std::move(classes)));
 }
 
-const Attribute& Schema::attribute(size_t i) const {
-  HOM_CHECK_LT(i, attributes_.size());
-  return attributes_[i];
-}
-
 const std::string& Schema::class_name(int label) const {
   HOM_CHECK_GE(label, 0);
   HOM_CHECK_LT(static_cast<size_t>(label), classes_.size());

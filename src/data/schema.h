@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "data/attribute.h"
@@ -25,7 +26,10 @@ class Schema {
       std::vector<Attribute> attributes, std::vector<std::string> classes);
 
   size_t num_attributes() const { return attributes_.size(); }
-  const Attribute& attribute(size_t i) const;
+  const Attribute& attribute(size_t i) const {
+    HOM_CHECK_LT(i, attributes_.size());
+    return attributes_[i];
+  }
 
   size_t num_classes() const { return classes_.size(); }
   const std::string& class_name(int label) const;

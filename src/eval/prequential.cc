@@ -40,6 +40,9 @@ PrequentialResult RunPrequential(StreamClassifier* classifier,
   // Scratch for the sampled calibration distribution, reused across the
   // run so sampling stays allocation-free (PredictProbaInto).
   std::vector<double> calibration_proba;
+  // The label-hidden copy of the current record; declared once so each
+  // copy reuses the previous record's buffer instead of allocating.
+  Record unlabeled;
 
   Stopwatch timer;
   obs::ScopedSpan span("prequential_eval");
@@ -63,11 +66,16 @@ PrequentialResult RunPrequential(StreamClassifier* classifier,
       stopped_early = true;
       break;
     }
-    // One record = one timed request (a no-op without a request_timer).
+    // One record = one request (a no-op without a request_timer). The timer
+    // samples which requests it times; a checkpointing record is always
+    // timed so the checkpoint stage keeps one sample per checkpoint.
+    const bool checkpoints =
+        options.checkpoint_every > 0 && options.on_checkpoint &&
+        (result.num_records + 1) % options.checkpoint_every == 0;
     obs::ScopedRequestTimer request_timing(
-        options.request_timer, static_cast<int64_t>(result.num_records + 1));
+        options.request_timer, static_cast<int64_t>(result.num_records + 1),
+        /*always_time=*/checkpoints);
     // Predict with the label hidden: x_t.
-    Record unlabeled;
     {
       obs::ScopedRequestStage stage(obs::RequestStage::kParse);
       unlabeled = r;
@@ -112,8 +120,7 @@ PrequentialResult RunPrequential(StreamClassifier* classifier,
         label_rng.NextBernoulli(options.labeled_fraction)) {
       classifier->ObserveLabeled(r);
     }
-    if (options.checkpoint_every > 0 && options.on_checkpoint &&
-        result.num_records % options.checkpoint_every == 0) {
+    if (checkpoints) {
       obs::ScopedRequestStage stage(obs::RequestStage::kCheckpoint);
       PrequentialProgress progress;
       progress.record = result.num_records;

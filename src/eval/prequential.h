@@ -94,11 +94,12 @@ struct PrequentialOptions {
   /// in PrequentialResult so the caller can checkpoint. This is how
   /// `homctl serve` turns SIGTERM into a graceful drain.
   const std::atomic<bool>* stop_flag = nullptr;
-  /// When set, every record is timed as one request: parse → sanitize →
-  /// predict → observe → checkpoint stage durations land in the
-  /// `hom.serve.stage_seconds` histograms and the timer's slowest-K set
-  /// (DESIGN.md §11). The sanitize stage is attributed inside the
-  /// classifier's input-hardening path.
+  /// When set, every record is one request on this timer, which times 1
+  /// in RequestTimer::kRequestSamplePeriod of them plus every record that
+  /// checkpoints: parse → sanitize → predict → observe → checkpoint stage
+  /// durations land in the `hom.serve.stage_seconds` histograms and the
+  /// timer's slowest-K set (DESIGN.md §11). The sanitize stage is
+  /// attributed inside the classifier's input-hardening path.
   obs::RequestTimer* request_timer = nullptr;
 };
 

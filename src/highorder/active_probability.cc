@@ -19,6 +19,15 @@ void ActiveProbabilityTracker::Reset() {
   size_t n = stats_.num_concepts();
   prior_.assign(n, 1.0 / static_cast<double>(n));
   posterior_ = prior_;
+  propagated_valid_ = false;
+}
+
+const std::vector<double>& ActiveProbabilityTracker::PropagatedPosterior() {
+  if (!propagated_valid_) {
+    stats_.PropagateInto(posterior_, &propagated_);
+    propagated_valid_ = true;
+  }
+  return propagated_;
 }
 
 Status ActiveProbabilityTracker::Restore(std::vector<double> prior,
@@ -46,14 +55,12 @@ Status ActiveProbabilityTracker::Restore(std::vector<double> prior,
   }
   prior_ = std::move(prior);
   posterior_ = std::move(posterior);
+  propagated_valid_ = false;
   return Status::OK();
 }
 
-void ActiveProbabilityTracker::Observe(const std::vector<double>& psi) {
+void ActiveProbabilityTracker::UpdatePosterior(const std::vector<double>& psi) {
   size_t n = stats_.num_concepts();
-  HOM_CHECK_EQ(psi.size(), n);
-  // Eq. 5: P_t−(c) = Σ_i P_{t-1}(i) χ(i, c).
-  prior_ = stats_.Propagate(posterior_);
   // Eq. 9: P_t(c) ∝ P_t−(c) ψ(c, y_t).
   double total = 0.0;
   for (size_t c = 0; c < n; ++c) {
@@ -70,13 +77,24 @@ void ActiveProbabilityTracker::Observe(const std::vector<double>& psi) {
   for (double& p : posterior_) p /= total;
 }
 
+void ActiveProbabilityTracker::Observe(const std::vector<double>& psi) {
+  HOM_CHECK_EQ(psi.size(), stats_.num_concepts());
+  // Eq. 5: P_t−(c) = Σ_i P_{t-1}(i) χ(i, c). The cached propagation is
+  // exactly that; the swap hands it over without a copy, and the update
+  // below invalidates the cache anyway.
+  PropagatedPosterior();
+  prior_.swap(propagated_);
+  propagated_valid_ = false;
+  UpdatePosterior(psi);
+}
+
 void ActiveProbabilityTracker::ObserveAfterGap(const std::vector<double>& psi,
                                                size_t gap) {
-  size_t n = stats_.num_concepts();
-  HOM_CHECK_EQ(psi.size(), n);
+  HOM_CHECK_EQ(psi.size(), stats_.num_concepts());
   HOM_CHECK_GE(gap, 1u);
   size_t before = MostLikelyConceptPosterior();
   prior_ = stats_.PropagateSteps(posterior_, gap);
+  propagated_valid_ = false;
   // Bridging a label gap is pure chain prediction: record it when the
   // propagation alone moved the belief to another concept.
   size_t after = static_cast<size_t>(
@@ -86,23 +104,14 @@ void ActiveProbabilityTracker::ObserveAfterGap(const std::vector<double>& psi,
                       static_cast<int64_t>(gap), static_cast<int64_t>(before),
                       static_cast<int64_t>(after), prior_[after]);
   }
-  double total = 0.0;
-  for (size_t c = 0; c < n; ++c) {
-    HOM_DCHECK(psi[c] >= 0.0);
-    posterior_[c] = prior_[c] * psi[c];
-    total += posterior_[c];
-  }
-  if (total <= 1e-300) {
-    posterior_ = prior_;
-    return;
-  }
-  for (double& p : posterior_) p /= total;
+  UpdatePosterior(psi);
 }
 
 void ActiveProbabilityTracker::AdvanceWithoutEvidence() {
   size_t before = MostLikelyConceptPosterior();
-  prior_ = stats_.Propagate(posterior_);
+  prior_ = PropagatedPosterior();
   posterior_ = prior_;
+  propagated_valid_ = false;
   size_t after = MostLikelyConcept();
   if (after != before) {
     obs::EmitIfActive(obs::EventType::kHmmPrediction, "active_probability",

@@ -27,6 +27,12 @@ class ActiveProbabilityTracker {
   /// Posterior active probabilities P_t(c) after the last Observe().
   const std::vector<double>& posterior() const { return posterior_; }
 
+  /// stats().Propagate(posterior()): the prior the next Observe() will
+  /// use, which is also the classifier's Eq. 10 weights. Computed once per
+  /// posterior and cached until the posterior changes, so a label pays for
+  /// one propagation however many readers it has.
+  const std::vector<double>& PropagatedPosterior();
+
   /// Consumes one labeled record's evidence: `psi[c]` = ψ(c, y_t) from
   /// Eq. 8 (1 - Err_c if M_c classified y_t correctly, else Err_c).
   /// Computes P_t−  from the previous posterior via χ, multiplies in the
@@ -85,9 +91,16 @@ class ActiveProbabilityTracker {
   const ConceptStats& stats() const { return stats_; }
 
  private:
+  /// Bayes update of Eq. 9 from prior_ and the evidence ψ; falls back to
+  /// the prior when every concept gets (numerically) zero likelihood.
+  void UpdatePosterior(const std::vector<double>& psi);
+
   ConceptStats stats_;
   std::vector<double> prior_;
   std::vector<double> posterior_;
+  /// PropagatedPosterior()'s cache; valid only while `propagated_valid_`.
+  std::vector<double> propagated_;
+  bool propagated_valid_ = false;
 };
 
 }  // namespace hom

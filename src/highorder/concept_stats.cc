@@ -115,16 +115,25 @@ double ConceptStats::Chi(size_t from, size_t to) const {
 
 std::vector<double> ConceptStats::Propagate(
     const std::vector<double>& p) const {
+  std::vector<double> out;
+  PropagateInto(p, &out);
+  return out;
+}
+
+void ConceptStats::PropagateInto(const std::vector<double>& p,
+                                 std::vector<double>* out) const {
   size_t n = num_concepts();
   HOM_CHECK_EQ(p.size(), n);
-  std::vector<double> out(n, 0.0);
+  HOM_DCHECK(out != &p);
+  out->assign(n, 0.0);
+  double* acc = out->data();
+  const double* chi = chi_.data();
   for (size_t i = 0; i < n; ++i) {
-    if (p[i] == 0.0) continue;
-    for (size_t j = 0; j < n; ++j) {
-      out[j] += p[i] * chi_[i * n + j];
-    }
+    const double pi = p[i];
+    if (pi == 0.0) continue;
+    const double* row = chi + i * n;
+    for (size_t j = 0; j < n; ++j) acc[j] += pi * row[j];
   }
-  return out;
 }
 
 std::vector<double> ConceptStats::PropagateSteps(
@@ -135,7 +144,11 @@ std::vector<double> ConceptStats::PropagateSteps(
   // Small gaps: repeated single-step propagation is cheapest (O(k n²)).
   if (steps <= 8 || n == 1) {
     std::vector<double> out = p;
-    for (size_t s = 0; s < steps; ++s) out = Propagate(out);
+    std::vector<double> next;
+    for (size_t s = 0; s < steps; ++s) {
+      PropagateInto(out, &next);
+      out.swap(next);
+    }
     return out;
   }
   // Large gaps: χ^steps by exponentiation-by-squaring, O(n³ log k).

@@ -39,6 +39,12 @@ class ConceptStats {
   /// (Eq. 5). `p` must have num_concepts() entries.
   std::vector<double> Propagate(const std::vector<double>& p) const;
 
+  /// Propagate() into the caller's buffer, which is resized to
+  /// num_concepts() and so allocates only on first use. `out` must not
+  /// alias `p`.
+  void PropagateInto(const std::vector<double>& p,
+                     std::vector<double>* out) const;
+
   /// Applies `steps` chain steps at once — the Section III-B variable-rate
   /// revision: when records arrive with gaps (in record-clock units), the
   /// prior must be propagated through every elapsed tick, not just one.

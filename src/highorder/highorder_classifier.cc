@@ -108,13 +108,13 @@ void HighOrderClassifier::ObserveLabeled(const Record& y) {
 void HighOrderClassifier::ObserveLabeledClean(const Record& y) {
   // ψ(c, y_t) of Eq. 8: the concept's classifier vouches for the record
   // with probability 1 - Err_c when it gets it right, Err_c otherwise.
-  std::vector<double> psi(concepts_.size());
+  psi_.resize(concepts_.size());
   for (size_t c = 0; c < concepts_.size(); ++c) {
     Label guess = compiled_[c] != nullptr ? compiled_[c]->Predict(y)
                                           : concepts_[c].model->Predict(y);
-    psi[c] = guess == y.label ? 1.0 - concepts_[c].error : concepts_[c].error;
+    psi_[c] = guess == y.label ? 1.0 - concepts_[c].error : concepts_[c].error;
   }
-  tracker_.Observe(psi);
+  tracker_.Observe(psi_);
   weights_stale_ = true;
   ++observations_;
   HOM_COUNTER_INC("hom.online.observations");
@@ -126,8 +126,10 @@ void HighOrderClassifier::RefreshWeights() {
   weights_stale_ = false;
   // Eq. 10 weighs by the prior P_t− of the *next* timestamp, i.e. the
   // propagated posterior; the ablation flag weighs by the posterior P_t.
+  // The tracker caches that propagation, and the next Observe() starts
+  // from the same cached vector instead of computing it again.
   if (options_.weight_by_prior) {
-    weights_ = tracker_.stats().Propagate(tracker_.posterior());
+    weights_ = tracker_.PropagatedPosterior();
   } else {
     weights_ = tracker_.posterior();
   }

@@ -241,10 +241,12 @@ class HighOrderClassifier : public StreamClassifier {
   /// use_compiled_kernels off). Owned by the concept models themselves.
   std::vector<const CompiledTree*> compiled_;
   /// Reused scratch: one concept's distribution (mc_scratch_), the mixture
-  /// accumulator of the argmax paths (proba_scratch_), and the batch
-  /// row-major [record][class] accumulator plus undecided-record list.
+  /// accumulator of the argmax paths (proba_scratch_), the evidence of one
+  /// labeled record (psi_), and the batch row-major [record][class]
+  /// accumulator plus undecided-record list.
   std::vector<double> mc_scratch_;
   std::vector<double> proba_scratch_;
+  std::vector<double> psi_;
   std::vector<double> batch_proba_;
   std::vector<uint32_t> batch_active_;
 };

@@ -125,7 +125,8 @@ constexpr HelpEntry kBuiltinHelp[] = {
      "Hot model swaps completed under live traffic."},
     {"hom.serve.stage_seconds",
      "Per-request stage latency (parse/sanitize/predict/observe/"
-     "checkpoint and HTTP stages) in seconds."},
+     "checkpoint and HTTP stages) in seconds; record stages are timed "
+     "for 1 record in 64 plus every checkpointing record."},
     {"hom.server.dropped",
      "HTTP requests shed with 503 by the bounded queue."},
     {"hom.server.request_latency_us",

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -29,6 +30,16 @@ namespace {
 /// Frames kept per raw sample. 48 levels cover the deepest hom:: paths
 /// (recursive C4.5 walks included) without making the ring enormous.
 constexpr size_t kMaxRawFrames = 48;
+/// backtrace() in the SIGPROF handler first records the handler itself and
+/// then the sigreturn trampoline the kernel returns through; the
+/// interrupted function comes next. Collect() drops these frames, so every
+/// sample is charged to the function the signal interrupted.
+constexpr size_t kHandlerFrames = 2;
+/// The handler's exported symbol (see hom_prof_signal_handler below).
+constexpr std::string_view kHandlerName = "hom_prof_signal_handler";
+/// A backtrace() interceptor (the sanitizers install one) records its own
+/// frame before the handler's; Collect() looks this far for the handler.
+constexpr size_t kMaxPrologueFrames = kHandlerFrames + 2;
 constexpr uint64_t kSlotEmpty = ~uint64_t{0};
 
 constexpr double kMinHz = 1.0;
@@ -46,7 +57,7 @@ struct RawSlot {
   double t_us = 0.0;
   uint32_t depth = 0;
   uint32_t phase_depth = 0;
-  void* frames[kMaxRawFrames];
+  void* frames[kMaxPrologueFrames + kMaxRawFrames];
   const char* phases[kPhaseStackCapacity];
 };
 
@@ -69,9 +80,18 @@ std::atomic<ProfilerState*> g_active_state{nullptr};
 std::unique_ptr<ProfilerState> g_owned_state;
 bool g_handler_installed = false;
 
+#endif  // defined(__linux__)
+
+}  // namespace
+
+#if defined(__linux__)
+
 /// SIGPROF handler: claim a slot, stamp it, unwind, publish. Everything
 /// called here is async-signal-safe (backtrace after the Start() warm-up).
-void ProfSignalHandler(int, siginfo_t*, void*) {
+/// Exported with C linkage so dladdr names it: Collect() finds it by that
+/// name, and a stack that still ended in it would fail
+/// tools/check_folded_profile.py.
+extern "C" void hom_prof_signal_handler(int, siginfo_t*, void*) {
   int saved_errno = errno;
   ProfilerState* state = g_active_state.load(std::memory_order_acquire);
   if (state != nullptr) {
@@ -83,9 +103,11 @@ void ProfSignalHandler(int, siginfo_t*, void*) {
     slot.t_us =
         static_cast<double>(now.tv_sec - state->epoch.tv_sec) * 1e6 +
         static_cast<double>(now.tv_nsec - state->epoch.tv_nsec) * 1e-3;
-    int depth = backtrace(slot.frames, kMaxRawFrames);
+    constexpr int kCapacity =
+        static_cast<int>(kMaxPrologueFrames + kMaxRawFrames);
+    int depth = backtrace(slot.frames, kCapacity);
     slot.depth = depth > 0 ? static_cast<uint32_t>(depth) : 0;
-    if (depth >= static_cast<int>(kMaxRawFrames)) {
+    if (depth >= kCapacity) {
       state->truncated.fetch_add(1, std::memory_order_relaxed);
     }
     slot.phase_depth = static_cast<uint32_t>(
@@ -94,6 +116,12 @@ void ProfSignalHandler(int, siginfo_t*, void*) {
   }
   errno = saved_errno;
 }
+
+#endif  // defined(__linux__)
+
+namespace {
+
+#if defined(__linux__)
 
 /// Folded frames are ';'-joined, so the separator (and line breaks) must
 /// never appear inside a symbol; demangled template args can contain
@@ -276,7 +304,7 @@ Status SamplingProfiler::Start(const ProfileOptions& options) {
 
   if (!g_handler_installed) {
     struct sigaction action {};
-    action.sa_sigaction = ProfSignalHandler;
+    action.sa_sigaction = hom_prof_signal_handler;
     action.sa_flags = SA_RESTART | SA_SIGINFO;
     sigemptyset(&action.sa_mask);
     if (sigaction(SIGPROF, &action, nullptr) != 0) {
@@ -347,35 +375,29 @@ ProfileData SamplingProfiler::Collect() {
   data.samples.reserve(kept);
 
   FrameInterner interner(&data.frames);
-  std::vector<uint32_t> innermost_first;
   for (uint64_t seq = total - kept; seq < total; ++seq) {
     RawSlot& slot = state->ring[seq % state->capacity];
     if (slot.ready_seq.load(std::memory_order_acquire) != seq) {
       ++data.dropped;  // claimed but never committed, or overwritten late
       continue;
     }
-    innermost_first.clear();
-    for (uint32_t i = 0; i < slot.depth; ++i) {
-      innermost_first.push_back(interner.Intern(slot.frames[i]));
-    }
-    // Trim the capture prologue — the handler itself and the kernel's
-    // signal trampoline sit innermost on every sample.
-    size_t start = 0;
-    for (size_t i = 0; i < innermost_first.size(); ++i) {
-      const std::string& name = interner.name(innermost_first[i]);
-      if (name.find("ProfSignalHandler") != std::string::npos) {
-        if (i + 2 > start) start = i + 2;
-      } else if (name.find("restore_rt") != std::string::npos) {
-        if (i + 1 > start) start = i + 1;
+    // Drop the capture prologue: the frames up to the handler's and the
+    // sigreturn trampoline after it. Unsymbolized, the handler is taken to
+    // be the first frame.
+    size_t start = kHandlerFrames;
+    for (size_t i = 0; i < slot.depth && i < kMaxPrologueFrames; ++i) {
+      if (interner.name(interner.Intern(slot.frames[i])) == kHandlerName) {
+        start = i + kHandlerFrames;
+        break;
       }
     }
-    if (start > innermost_first.size()) start = innermost_first.size();
-
     ProfileSample sample;
     sample.t_us = slot.t_us;
-    sample.stack.reserve(innermost_first.size() - start);
-    for (size_t i = innermost_first.size(); i > start; --i) {
-      sample.stack.push_back(innermost_first[i - 1]);  // root-first
+    if (slot.depth > start) {
+      sample.stack.reserve(slot.depth - start);
+      for (size_t i = slot.depth; i > start; --i) {  // root-first
+        sample.stack.push_back(interner.Intern(slot.frames[i - 1]));
+      }
     }
     sample.phases.reserve(slot.phase_depth);
     for (uint32_t i = 0; i < slot.phase_depth; ++i) {

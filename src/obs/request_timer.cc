@@ -18,8 +18,10 @@ constexpr const char* kStageFamilyName = "hom.serve.stage_seconds";
 
 /// The thread's in-flight request. Stage accumulation happens here, with
 /// no synchronization; RecordRequest() is the only cross-thread hand-off.
+/// `open` marks any request, timed or not, so a nested ScopedRequestTimer
+/// stays a no-op; the rest is used only while internal::t_timing_request.
 struct ActiveRequest {
-  RequestTimer* timer = nullptr;
+  bool open = false;
   int64_t record = -1;
   std::chrono::steady_clock::time_point started;
   std::array<double, kNumRequestStages> stage_seconds{};
@@ -36,6 +38,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
+
+namespace internal {
+thread_local constinit bool t_timing_request = false;
+}  // namespace internal
 
 std::string_view RequestStageName(RequestStage stage) {
   size_t i = static_cast<size_t>(stage);
@@ -67,7 +73,19 @@ RequestTimer::RequestTimer(Options options) : options_(std::move(options)) {
   slowest_.reserve(options_.slowest_k);
 }
 
+bool RequestTimer::BeginRequest(bool always_time) {
+  uint64_t ordinal = requests_.fetch_add(1, std::memory_order_relaxed);
+  return always_time || ordinal % kRequestSamplePeriod == 0;
+}
+
 void RequestTimer::RecordRequest(
+    int64_t record, double total_seconds,
+    const std::array<double, kNumRequestStages>& stage_seconds) {
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  Ingest(record, total_seconds, stage_seconds);
+}
+
+void RequestTimer::Ingest(
     int64_t record, double total_seconds,
     const std::array<double, kNumRequestStages>& stage_seconds) {
   size_t dominant = 0;
@@ -91,7 +109,6 @@ void RequestTimer::RecordRequest(
   bool retained = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++requests_;
     if (slowest_.size() < options_.slowest_k) {
       slowest_.push_back(entry);
       retained = true;
@@ -113,8 +130,7 @@ void RequestTimer::RecordRequest(
 }
 
 uint64_t RequestTimer::requests() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return requests_;
+  return requests_.load(std::memory_order_relaxed);
 }
 
 std::vector<RequestTimer::SlowRequest> RequestTimer::Slowest() const {
@@ -146,28 +162,32 @@ JsonValue RequestTimer::SlowestJson() const {
   return out;
 }
 
-ScopedRequestTimer::ScopedRequestTimer(RequestTimer* timer, int64_t record) {
-  if (timer == nullptr || g_active_request.timer != nullptr) return;
-  g_active_request.timer = timer;
-  g_active_request.record = record;
-  g_active_request.started = std::chrono::steady_clock::now();
-  g_active_request.stage_seconds.fill(0.0);
-  g_active_request.current_stage = -1;
+ScopedRequestTimer::ScopedRequestTimer(RequestTimer* timer, int64_t record,
+                                       bool always_time) {
+  ActiveRequest& req = g_active_request;
+  if (timer == nullptr || req.open) return;
+  req.open = true;
   active_ = true;
+  if (!timer->BeginRequest(always_time)) return;  // counted, not timed
+  timed_ = timer;
+  internal::t_timing_request = true;
+  req.record = record;
+  req.started = std::chrono::steady_clock::now();
+  req.stage_seconds.fill(0.0);
+  req.current_stage = -1;
 }
 
 ScopedRequestTimer::~ScopedRequestTimer() {
   if (!active_) return;
   ActiveRequest& req = g_active_request;
-  RequestTimer* timer = req.timer;
-  req.timer = nullptr;  // deactivate before RecordRequest can journal
-  timer->RecordRequest(req.record, SecondsSince(req.started),
-                       req.stage_seconds);
+  req.open = false;
+  if (timed_ == nullptr) return;
+  internal::t_timing_request = false;  // deactivate before Ingest journals
+  timed_->Ingest(req.record, SecondsSince(req.started), req.stage_seconds);
 }
 
-ScopedRequestStage::ScopedRequestStage(RequestStage stage) {
+void ScopedRequestStage::Enter(RequestStage stage) {
   ActiveRequest& req = g_active_request;
-  if (req.timer == nullptr) return;
   auto now = std::chrono::steady_clock::now();
   previous_stage_ = req.current_stage;
   previous_start_ = req.stage_started;
@@ -181,8 +201,7 @@ ScopedRequestStage::ScopedRequestStage(RequestStage stage) {
   active_ = true;
 }
 
-ScopedRequestStage::~ScopedRequestStage() {
-  if (!active_) return;
+void ScopedRequestStage::Exit() {
   ActiveRequest& req = g_active_request;
   auto now = std::chrono::steady_clock::now();
   if (req.current_stage >= 0) {

@@ -1,7 +1,10 @@
 // Tests for src/data: schema validation, dataset append rules, view
 // algebra (union, holdout split), and CSV round-tripping.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <set>
@@ -16,6 +19,7 @@
 #include "data/dataset_view.h"
 #include "data/io.h"
 #include "data/schema.h"
+#include "streams/intrusion.h"
 
 namespace hom {
 namespace {
@@ -432,6 +436,202 @@ TEST(SanitizeTest, StateRoundTripsThroughBinaryIo) {
   EXPECT_DOUBLE_EQ(dirty.values[0], 4.0);
   EXPECT_DOUBLE_EQ(dirty.values[1], 2.0);
   EXPECT_EQ(dirty.label, 0);
+}
+
+/// InputSanitizer's checks as they read before it flattened the schema:
+/// every field goes through Schema::attribute(). The reference the flat
+/// versions must agree with, verdict for verdict and byte for byte.
+class ReferenceSanitizer {
+ public:
+  explicit ReferenceSanitizer(SchemaPtr schema) : schema_(std::move(schema)) {
+    size_t n = schema_->num_attributes();
+    means_.assign(n, 0.0);
+    counts_.assign(n, 0);
+    category_counts_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Attribute& attr = schema_->attribute(i);
+      if (attr.is_categorical()) {
+        category_counts_[i].assign(attr.cardinality(), 0);
+      }
+    }
+    label_counts_.assign(schema_->num_classes(), 0);
+  }
+
+  bool IsClean(const Record& r) const {
+    if (r.values.size() != schema_->num_attributes()) return false;
+    for (size_t i = 0; i < r.values.size(); ++i) {
+      const Attribute& attr = schema_->attribute(i);
+      double v = r.values[i];
+      if (attr.is_categorical()) {
+        if (!CategoricalOk(v, attr.cardinality())) return false;
+      } else if (!std::isfinite(v)) {
+        return false;
+      }
+    }
+    if (r.label != kUnlabeled &&
+        (r.label < 0 ||
+         static_cast<size_t>(r.label) >= schema_->num_classes())) {
+      return false;
+    }
+    return true;
+  }
+
+  void Learn(const Record& r) {
+    for (size_t i = 0; i < r.values.size(); ++i) {
+      const Attribute& attr = schema_->attribute(i);
+      if (attr.is_categorical()) {
+        ++category_counts_[i][static_cast<size_t>(r.values[i])];
+      } else {
+        ++counts_[i];
+        means_[i] +=
+            (r.values[i] - means_[i]) / static_cast<double>(counts_[i]);
+      }
+    }
+    if (r.is_labeled()) ++label_counts_[static_cast<size_t>(r.label)];
+  }
+
+  InputSanitizer::Report Repair(Record* r) const {
+    InputSanitizer::Report report;
+    if (r->values.size() != schema_->num_attributes()) {
+      report.arity_ok = false;
+      return report;
+    }
+    for (size_t i = 0; i < r->values.size(); ++i) {
+      const Attribute& attr = schema_->attribute(i);
+      double v = r->values[i];
+      if (attr.is_categorical()) {
+        if (!CategoricalOk(v, attr.cardinality())) {
+          r->values[i] =
+              static_cast<double>(MajorityIndex(category_counts_[i]));
+          ++report.repaired_fields;
+        }
+      } else if (!std::isfinite(v)) {
+        r->values[i] = means_[i];
+        ++report.repaired_fields;
+      }
+    }
+    if (r->label != kUnlabeled &&
+        (r->label < 0 ||
+         static_cast<size_t>(r->label) >= schema_->num_classes())) {
+      r->label = static_cast<Label>(MajorityIndex(label_counts_));
+      report.label_repaired = true;
+    }
+    return report;
+  }
+
+  /// The bytes InputSanitizer::SaveTo writes for the same statistics.
+  std::string Bytes() const {
+    std::stringstream out;
+    BinaryWriter writer(&out);
+    auto write_counts = [&writer](const std::vector<uint64_t>& v) {
+      EXPECT_TRUE(writer.WriteU32(static_cast<uint32_t>(v.size())).ok());
+      for (uint64_t x : v) EXPECT_TRUE(writer.WriteU64(x).ok());
+    };
+    EXPECT_TRUE(writer.WriteDoubleVector(means_).ok());
+    write_counts(counts_);
+    for (const std::vector<uint64_t>& counts : category_counts_) {
+      write_counts(counts);
+    }
+    write_counts(label_counts_);
+    return out.str();
+  }
+
+ private:
+  static bool CategoricalOk(double v, size_t cardinality) {
+    return std::isfinite(v) && v >= 0.0 &&
+           v < static_cast<double>(cardinality) && v == std::floor(v);
+  }
+
+  static size_t MajorityIndex(const std::vector<uint64_t>& counts) {
+    return static_cast<size_t>(
+        std::max_element(counts.begin(), counts.end()) - counts.begin());
+  }
+
+  SchemaPtr schema_;
+  std::vector<double> means_;
+  std::vector<uint64_t> counts_;
+  std::vector<std::vector<uint64_t>> category_counts_;
+  std::vector<uint64_t> label_counts_;
+};
+
+std::string SavedBytes(const InputSanitizer& sanitizer) {
+  std::stringstream out;
+  BinaryWriter writer(&out);
+  EXPECT_TRUE(sanitizer.SaveTo(&writer).ok());
+  return out.str();
+}
+
+/// Corrupts one Intrusion record the way malformed serving input does.
+void Corrupt(const Schema& schema, Rng* rng, Record* r) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<size_t> numeric, categorical;
+  for (size_t i = 0; i < schema.num_attributes(); ++i) {
+    (schema.attribute(i).is_categorical() ? categorical : numeric)
+        .push_back(i);
+  }
+  size_t num = numeric[rng->NextBounded(static_cast<uint32_t>(numeric.size()))];
+  size_t cat =
+      categorical[rng->NextBounded(static_cast<uint32_t>(categorical.size()))];
+  double cardinality =
+      static_cast<double>(schema.attribute(cat).cardinality());
+  switch (rng->NextBounded(14)) {
+    case 0: r->values[num] = kNaN; break;
+    case 1: r->values[num] = kInf; break;
+    case 2: r->values[num] = -kInf; break;
+    case 3: r->values[num] = -r->values[num] - 1.0; break;  // still clean
+    case 4: r->values[cat] = kNaN; break;
+    case 5: r->values[cat] = rng->NextBernoulli(0.5) ? kInf : -kInf; break;
+    case 6: r->values[cat] = -1.0; break;
+    case 7: r->values[cat] = 0.5; break;
+    case 8: r->values[cat] = cardinality; break;
+    case 9: r->values[cat] = cardinality - 0.25; break;
+    case 10: r->label = rng->NextBernoulli(0.5) ? -2 : 99; break;
+    case 11: r->label = kUnlabeled; break;  // clean: labels may be hidden
+    case 12: r->values.push_back(0.0); break;
+    default: r->values.pop_back(); break;
+  }
+}
+
+TEST(SanitizeTest, FlatChecksMatchThePerAttributeReference) {
+  SchemaPtr schema = IntrusionGenerator::MakeSchema();
+  IntrusionGenerator gen(5);
+  Rng rng(17);
+  InputSanitizer flat(schema);
+  ReferenceSanitizer reference(schema);
+  size_t clean = 0, dirty = 0;
+  for (int t = 0; t < 6000; ++t) {
+    if (t % 500 == 0) {
+      ASSERT_EQ(SavedBytes(flat), reference.Bytes()) << "record " << t;
+    }
+    Record r = gen.Next();
+    if (rng.NextBernoulli(0.4)) Corrupt(*schema, &rng, &r);
+    bool is_clean = reference.IsClean(r);
+    ASSERT_EQ(flat.IsClean(r), is_clean) << "record " << t;
+    if (is_clean) {
+      ++clean;
+      flat.Learn(r);
+      reference.Learn(r);
+      continue;
+    }
+    ++dirty;
+    Record a = r;
+    Record b = r;
+    InputSanitizer::Report got = flat.Repair(&a);
+    InputSanitizer::Report want = reference.Repair(&b);
+    EXPECT_EQ(got.arity_ok, want.arity_ok);
+    EXPECT_EQ(got.repaired_fields, want.repaired_fields);
+    EXPECT_EQ(got.label_repaired, want.label_repaired);
+    EXPECT_EQ(a.label, b.label);
+    ASSERT_EQ(a.values.size(), b.values.size());
+    EXPECT_EQ(std::memcmp(a.values.data(), b.values.data(),
+                          a.values.size() * sizeof(double)),
+              0)
+        << "record " << t;
+  }
+  EXPECT_GT(clean, 1000u);
+  EXPECT_GT(dirty, 1000u);
+  EXPECT_EQ(SavedBytes(flat), reference.Bytes());
 }
 
 }  // namespace

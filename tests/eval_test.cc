@@ -2,13 +2,25 @@
 // stay hidden at prediction time), the change-aligned trace averaging, and
 // the per-concept online accounting fed from ActiveConcept().
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "classifiers/decision_tree.h"
+#include "common/rng.h"
 #include "eval/online_stats.h"
 #include "eval/prequential.h"
 #include "eval/stream_classifier.h"
 #include "eval/trace.h"
+#include "highorder/builder.h"
+#include "highorder/serialization.h"
 #include "obs/event_journal.h"
+#include "obs/request_timer.h"
+#include "streams/intrusion.h"
 #include "streams/stagger.h"
 
 namespace hom {
@@ -122,6 +134,98 @@ TEST(PrequentialTest, ConceptStatsTrackedOnRequest) {
   ASSERT_EQ(result.concept_stats->concepts().size(), 1u);
   EXPECT_EQ(result.concept_stats->concepts().begin()->first, -1);
 }
+
+TEST(PrequentialTest, CheckpointingRecordsAreAlwaysTimed) {
+  Dataset test = LabeledStream(30);
+  SpyClassifier spy(2);
+  obs::RequestTimer request_timer;
+  PrequentialOptions options;
+  options.request_timer = &request_timer;
+  options.checkpoint_every = 10;
+  size_t checkpoints = 0;
+  options.on_checkpoint = [&](const PrequentialProgress&) { ++checkpoints; };
+  RunPrequential(&spy, test, options);
+  EXPECT_EQ(checkpoints, 3u);
+  EXPECT_EQ(request_timer.requests(), 30u);
+  // The sampled first record, then every checkpointing one.
+  std::vector<int64_t> timed;
+  for (const obs::RequestTimer::SlowRequest& slow : request_timer.Slowest()) {
+    timed.push_back(slow.record);
+    if (slow.record % 10 == 0) {
+      EXPECT_GT(slow.stage_us[static_cast<size_t>(
+                    obs::RequestStage::kCheckpoint)],
+                0.0);
+    }
+  }
+  std::sort(timed.begin(), timed.end());
+  EXPECT_EQ(timed, (std::vector<int64_t>{1, 10, 20, 30}));
+}
+
+/// A journal's events without what timing may change: slow_request events
+/// and the seq/t_us stamps.
+std::vector<std::tuple<obs::EventType, std::string, int64_t, int64_t,
+                       int64_t, double>>
+UntimedEvents(const obs::EventJournal& journal) {
+  std::vector<std::tuple<obs::EventType, std::string, int64_t, int64_t,
+                         int64_t, double>>
+      events;
+  for (const obs::Event& e : journal.Snapshot()) {
+    if (e.type == obs::EventType::kSlowRequest) continue;
+    events.emplace_back(e.type, e.source, e.record, e.from, e.to, e.value);
+  }
+  return events;
+}
+
+class RequestTimerOutputTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(RequestTimerOutputTest, TimingChangesNoOutput) {
+  IntrusionGenerator gen(23);
+  Dataset history = gen.Generate(8000);
+  Dataset test = gen.Generate(6000);
+  HighOrderModelBuilder builder(DecisionTree::Factory());
+  Rng rng(5);
+  auto built = builder.Build(history, &rng);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::stringstream model_bytes;
+  ASSERT_TRUE(SaveHighOrderModel(&model_bytes, **built).ok());
+
+  struct Run {
+    PrequentialResult result;
+    obs::EventJournal journal;
+  };
+  auto serve = [&](obs::RequestTimer* request_timer, Run* run) {
+    std::stringstream in(model_bytes.str());
+    auto model = LoadHighOrderModel(&in);
+    ASSERT_TRUE(model.ok());
+    PrequentialOptions options;
+    options.labeled_fraction = GetParam();
+    options.record_trace = true;
+    options.track_concept_stats = true;
+    options.calibration_sample_period = 97;
+    options.request_timer = request_timer;
+    obs::ScopedJournal scoped(&run->journal);
+    run->result = RunPrequential(model->get(), test, options);
+  };
+  Run untimed, timed;
+  serve(nullptr, &untimed);
+  obs::RequestTimer request_timer;
+  serve(&request_timer, &timed);
+
+  EXPECT_EQ(request_timer.requests(), test.size());
+  EXPECT_EQ(timed.result.num_records, untimed.result.num_records);
+  EXPECT_EQ(timed.result.num_errors, untimed.result.num_errors);
+  EXPECT_EQ(timed.result.errors, untimed.result.errors);
+  EXPECT_EQ(timed.result.window_errors_carry,
+            untimed.result.window_errors_carry);
+  EXPECT_EQ(timed.result.window_fill_carry, untimed.result.window_fill_carry);
+  EXPECT_EQ(timed.result.concept_stats->ToJson().Dump(),
+            untimed.result.concept_stats->ToJson().Dump());
+  EXPECT_EQ(UntimedEvents(timed.journal), UntimedEvents(untimed.journal));
+  EXPECT_FALSE(UntimedEvents(untimed.journal).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(LabeledFractions, RequestTimerOutputTest,
+                         ::testing::Values(1.0, 0.1));
 
 // ------------------------------------------------------ OnlineConceptStats
 

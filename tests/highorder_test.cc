@@ -3,7 +3,9 @@
 // (Len/Freq/χ), the active-probability tracker, and the online classifier.
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -314,6 +316,62 @@ TEST(ActiveProbabilityTest, AdvanceWithoutEvidenceDiffuses) {
   double peak = tracker.posterior()[0];
   for (int t = 0; t < 200; ++t) tracker.AdvanceWithoutEvidence();
   EXPECT_LT(tracker.posterior()[0], peak);  // mass leaks to the others
+}
+
+/// Bitwise equality: the cache must hold the very bits a fresh
+/// propagation computes, not merely close values.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ActiveProbabilityTest, CachedPropagationMatchesAFreshOne) {
+  // Thirteen concepts with uneven lengths and frequencies, the size of
+  // the Intrusion model, so the products round differently per concept.
+  std::vector<double> lengths, frequencies;
+  Rng rng(83);
+  for (int c = 0; c < 13; ++c) {
+    lengths.push_back(5.0 + 400.0 * rng.NextDouble());
+    frequencies.push_back(0.05 + rng.NextDouble());
+  }
+  auto stats = ConceptStats::FromLengthsAndFrequencies(lengths, frequencies);
+  ASSERT_TRUE(stats.ok());
+  ActiveProbabilityTracker tracker(*stats);
+  std::vector<double> psi(13);
+  for (int t = 0; t < 2000; ++t) {
+    // Read the cache before the step half the time, so a step that failed
+    // to invalidate it would leave a stale vector behind.
+    if (rng.NextBernoulli(0.5)) tracker.PropagatedPosterior();
+    std::vector<double> before = tracker.posterior();
+    for (double& p : psi) p = rng.NextDouble();
+    switch (rng.NextBounded(8)) {
+      case 0:
+        tracker.AdvanceWithoutEvidence();
+        EXPECT_TRUE(SameBits(tracker.prior(), stats->Propagate(before)));
+        break;
+      case 1:
+        tracker.ObserveAfterGap(psi, 1 + rng.NextBounded(20));
+        break;
+      case 2: {
+        std::vector<double> prior = tracker.prior();
+        std::vector<double> posterior = stats->Propagate(before);
+        ASSERT_TRUE(tracker.Restore(prior, posterior).ok());
+        break;
+      }
+      default:
+        tracker.Observe(psi);
+        EXPECT_TRUE(SameBits(tracker.prior(), stats->Propagate(before)))
+            << "step " << t;
+        break;
+    }
+    ASSERT_TRUE(SameBits(tracker.PropagatedPosterior(),
+                         stats->Propagate(tracker.posterior())))
+        << "step " << t;
+  }
+  tracker.PropagatedPosterior();
+  tracker.Reset();
+  EXPECT_TRUE(SameBits(tracker.PropagatedPosterior(),
+                       stats->Propagate(tracker.posterior())));
 }
 
 TEST(ActiveProbabilityTest, ResetRestoresUniform) {
@@ -656,14 +714,20 @@ TEST(OnlineObservabilityTest, LatencySamplePeriodIsConfigurable) {
                                        TwoConceptStats(), options);
   ASSERT_TRUE(clf.ok());
 #ifndef HOM_DISABLE_METRICS
+  // DeltaSince copies histograms as they are, so the samples earlier tests
+  // in this process recorded are subtracted here.
+  const std::string kLatency = "hom.online.predict_latency_us";
   obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
+  auto earlier = before.histograms.find(kLatency);
+  const uint64_t before_count =
+      earlier == before.histograms.end() ? 0 : earlier->second.count;
 #endif
   Record x({0.0}, kUnlabeled);
   for (int t = 0; t < 8; ++t) (*clf)->Predict(x);
 #ifndef HOM_DISABLE_METRICS
   obs::MetricsSnapshot delta =
       obs::MetricsRegistry::Global().Snapshot().DeltaSince(before);
-  EXPECT_EQ(delta.histograms.at("hom.online.predict_latency_us").count, 8u);
+  EXPECT_EQ(delta.histograms.at(kLatency).count - before_count, 8u);
 #endif
   // Period 0 disables sampling entirely; the countdown must not underflow.
   (*clf)->set_latency_sample_period(0);
@@ -671,7 +735,7 @@ TEST(OnlineObservabilityTest, LatencySamplePeriodIsConfigurable) {
 #ifndef HOM_DISABLE_METRICS
   obs::MetricsSnapshot after =
       obs::MetricsRegistry::Global().Snapshot().DeltaSince(before);
-  EXPECT_EQ(after.histograms.at("hom.online.predict_latency_us").count, 8u);
+  EXPECT_EQ(after.histograms.at(kLatency).count - before_count, 8u);
 #endif
 }
 

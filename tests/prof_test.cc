@@ -4,6 +4,7 @@
 /// (platform-independent), then live SIGPROF windows on Linux, then the
 /// request/stage timing RAII.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -136,7 +137,51 @@ uint64_t BurnCpu(double seconds) {
   return acc;
 }
 
+}  // namespace
+
+// The leaf of SamplingProfilerTest.SamplesEndInTheInterruptedFunction.
+// Outside the anonymous namespace so dladdr can name it, and kept from
+// being inlined or cloned under a local symbol: its name must show in
+// the profile.
+[[gnu::noipa]] uint64_t ProfiledLeafBurn(double seconds) {
+  auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::microseconds(static_cast<int64_t>(seconds * 1e6));
+  volatile uint64_t acc = 1;
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 100000; ++i) acc = acc * 6364136223846793005ull + 1;
+  }
+  return acc;
+}
+
+namespace {
+
 #if defined(__linux__)
+
+TEST(SamplingProfilerTest, SamplesEndInTheInterruptedFunction) {
+  // The handler and the sigreturn trampoline sit innermost on every raw
+  // backtrace; a sample must be charged to the function the signal
+  // interrupted instead. Retried because a loaded machine can leave a
+  // CPU-clock window with few samples.
+  size_t samples = 0;
+  size_t in_leaf = 0;
+  for (int attempt = 0; attempt < 3 && samples < 20; ++attempt) {
+    ProfileOptions options;
+    options.hz = 500.0;
+    ASSERT_TRUE(SamplingProfiler::Global().Start(options).ok());
+    ProfiledLeafBurn(0.3);
+    ProfileData data = SamplingProfiler::Global().Collect();
+    for (const ProfileSample& sample : data.samples) {
+      ++samples;
+      ASSERT_FALSE(sample.stack.empty());
+      const std::string& leaf = data.frames[sample.stack.back()];
+      EXPECT_EQ(leaf.find("hom_prof_signal_handler"), std::string::npos);
+      if (leaf.find("ProfiledLeafBurn") != std::string::npos) ++in_leaf;
+    }
+  }
+  ASSERT_GT(samples, 0u);
+  EXPECT_GT(2 * in_leaf, samples) << in_leaf << " of " << samples;
+}
 
 TEST(SamplingProfilerTest, CapturesABusyLoop) {
   ProfileOptions options;
@@ -317,6 +362,70 @@ TEST(RequestTimerTest, ScopedTimingAttributesStages) {
   EXPECT_GT(observe_us, 5e3);
   // Stages partition the total: their sum cannot exceed it.
   EXPECT_LE(predict_us + observe_us, slow.total_us * 1.01 + 100.0);
+}
+
+TEST(RequestTimerTest, TimesOneRequestInSixtyFour) {
+  static_assert(RequestTimer::kRequestSamplePeriod == 64);
+  RequestTimer timer;
+  for (int64_t record = 1; record <= 130; ++record) {
+    ScopedRequestTimer request(&timer, record);
+    ScopedRequestStage predict(RequestStage::kPredict);
+  }
+  EXPECT_EQ(timer.requests(), 130u);
+  std::vector<int64_t> timed;
+  for (const RequestTimer::SlowRequest& slow : timer.Slowest()) {
+    timed.push_back(slow.record);
+  }
+  std::sort(timed.begin(), timed.end());
+  EXPECT_EQ(timed, (std::vector<int64_t>{1, 65, 129}));
+}
+
+TEST(RequestTimerTest, AlwaysTimeOverridesTheSample) {
+  RequestTimer timer;
+  { ScopedRequestTimer first(&timer, 1); }  // sampled: the 1st request
+  { ScopedRequestTimer skipped(&timer, 2); }
+  {
+    ScopedRequestTimer checkpoint(&timer, 3, /*always_time=*/true);
+    ScopedRequestStage stage(RequestStage::kCheckpoint);
+    BurnCpu(0.001);
+  }
+  EXPECT_EQ(timer.requests(), 3u);
+  auto slowest = timer.Slowest();
+  ASSERT_EQ(slowest.size(), 2u);
+  EXPECT_EQ(slowest[0].record, 3);
+  EXPECT_GT(
+      slowest[0].stage_us[static_cast<size_t>(RequestStage::kCheckpoint)],
+      0.0);
+}
+
+TEST(RequestTimerTest, UnsampledRequestStillBlocksNesting) {
+  RequestTimer outer_timer;
+  RequestTimer inner_timer;
+  { ScopedRequestTimer first(&outer_timer, 1); }
+  {
+    ScopedRequestTimer outer(&outer_timer, 2);  // counted, not timed
+    ScopedRequestTimer inner(&inner_timer, 3);  // no-op: request open
+  }
+  EXPECT_EQ(outer_timer.requests(), 2u);
+  EXPECT_EQ(outer_timer.Slowest().size(), 1u);
+  EXPECT_EQ(inner_timer.requests(), 0u);
+}
+
+TEST(RequestTimerTest, CountsRequestsFromSeveralThreads) {
+  RequestTimer timer;
+  auto serve = [&timer] {
+    for (int64_t record = 1; record <= 1000; ++record) {
+      ScopedRequestTimer request(&timer, record);
+      ScopedRequestStage predict(RequestStage::kPredict);
+    }
+  };
+  std::thread a(serve);
+  std::thread b(serve);
+  a.join();
+  b.join();
+  EXPECT_EQ(timer.requests(), 2000u);
+  // 2000 requests at one in 64: ordinals 0, 64, ..., 1984 are timed.
+  EXPECT_EQ(timer.Slowest().size(), 8u);  // slowest_k of the 32 timed
 }
 
 TEST(RequestTimerTest, StageOutsideRequestIsANoOp) {

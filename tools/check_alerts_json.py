@@ -41,6 +41,13 @@ ALERT_RULE = "windowed-error-above-slo"
 # stream must reach.
 POLL_SECONDS = 30.0
 
+# Pause between /alertz polls. The SLO rule fires and resolves several
+# times in each 8,000-record pass, and a pass takes a few milliseconds
+# before serve's 50 ms pause, so a firing spell lasts well under a
+# millisecond of wall time. Polling back to back lands in one within a
+# fraction of a second; a 0.2 s poll can miss every spell for 30 s.
+ALERTZ_POLL_PAUSE = 0.001
+
 # Journal JSONL schema versions this script understands. v2 added the
 # header line and optional per-event trace_id/span_id; an unknown version
 # must fail loudly rather than silently "validating" a format we cannot
@@ -140,7 +147,7 @@ def live_phase(homctl, model, online, tmp, failures):
                     fired = rule
                     break
             if fired is None:
-                time.sleep(0.2)
+                time.sleep(ALERTZ_POLL_PAUSE)
         if fired is None:
             failures.append("/alertz: %r never reached firing state" %
                             ALERT_RULE)

@@ -9,6 +9,9 @@ Checks, per file:
     plain spaces are fine — demangled C++ signatures are full of them,
     and the folded format only reserves ';' and the trailing count;
   * no duplicate stacks (the writer aggregates before emitting);
+  * no stack ends in the profiler's own SIGPROF handler
+    (hom_prof_signal_handler): every sample must be charged to the
+    function the signal interrupted;
   * unless --allow-unsymbolized, at least one frame resolves into the
     project namespace (hom::) — an all-hex profile means frame pointers
     or -rdynamic regressed.
@@ -22,6 +25,11 @@ problem. Only the Python standard library is used.
 
 import argparse
 import sys
+
+# The sampling profiler's signal handler (src/obs/prof.cc). The profiler
+# drops it from every sample, so a leaf with this name means the capture
+# prologue leaked into the profile.
+HANDLER_FRAME = "hom_prof_signal_handler"
 
 
 def _err(path, message):
@@ -61,7 +69,13 @@ def check_file(path, allow_unsymbolized=False):
         if stack in seen_stacks:
             failures += _err(path, f"{where}: duplicate stack {stack!r}")
         seen_stacks.add(stack)
-        for frame in stack.split(";"):
+        frames = stack.split(";")
+        if frames[-1] == HANDLER_FRAME:
+            failures += _err(
+                path, f"{where}: leaf frame is the profiler's signal handler "
+                f"{HANDLER_FRAME!r}"
+            )
+        for frame in frames:
             if not frame:
                 failures += _err(path, f"{where}: empty frame in {stack!r}")
             elif any(c == "\t" or ord(c) < 0x20 for c in frame):

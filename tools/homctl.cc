@@ -621,10 +621,12 @@ int CmdEvaluate(const Args& args) {
   options.track_concept_stats = true;
   options.stop_after =
       static_cast<uint64_t>(std::atoll(args.Get("stop-after", "0")));
-  // Per-record stage timing: splits every scored record into
-  // parse/sanitize/predict/observe/checkpoint, feeds the
-  // hom.serve.stage_seconds histograms, and retains the slowest K for
-  // /statusz. Cheap enough (a few clock reads per record) to stay on.
+  // Per-record stage timing: splits 1 record in 64, plus every record that
+  // checkpoints, into parse/sanitize/predict/observe/checkpoint, feeds the
+  // hom.serve.stage_seconds histograms, and retains the slowest K of those
+  // for /statusz. A timed record reads the clock about a dozen times, so
+  // only the sample is timed; the others pay one thread-local read per
+  // stage, which is why it can stay on.
   obs::RequestTimer request_timer;
   options.request_timer = &request_timer;
 
