@@ -5,17 +5,25 @@
 // After the google-benchmark run, main() executes an instrumented
 // default-scale Stagger build + prequential evaluation and writes the
 // telemetry (per-phase build timings, step-1/step-2 optimization counters,
-// similarity-cache hit rate) to bench_output/bench_micro.json.
+// similarity-cache hit rate) to bench_output/bench_micro.json. A csv_io
+// row times WriteCsv and ReadCsv over a 60k-row Intrusion stream.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "bench/harness.h"
 #include "classifiers/decision_tree.h"
 #include "classifiers/naive_bayes.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "common/zipf.h"
+#include "data/io.h"
 #include "highorder/active_probability.h"
 #include "highorder/builder.h"
 #include "streams/hyperplane.h"
@@ -150,6 +158,43 @@ void BM_HighOrderBuildStagger(benchmark::State& state) {
 }
 BENCHMARK(BM_HighOrderBuildStagger)->Arg(2000)->Unit(benchmark::kMillisecond);
 
+/// The csv_io row: median seconds of `runs` WriteCsv and ReadCsv rounds
+/// over 60k Intrusion rows through a temporary file, read under the skip
+/// policy as `homctl evaluate` reads. False if a read fails or drops a row.
+bool TimeCsvIo(size_t runs, hom::bench::BenchReporter* reporter) {
+  constexpr size_t kRows = 60000;
+  Dataset data = IntrusionGenerator(4).Generate(kRows);
+  std::string path = (std::filesystem::temp_directory_path() /
+                      ("hom_bench_micro_" + std::to_string(::getpid()) +
+                       ".csv"))
+                         .string();
+  CsvReadOptions options;
+  options.policy = InputPolicy::kSkip;
+  std::vector<double> write_seconds, read_seconds;
+  bool ok = true;
+  for (size_t run = 0; run < runs && ok; ++run) {
+    Stopwatch write_watch;
+    ok = WriteCsv(data, path).ok();
+    write_seconds.push_back(write_watch.ElapsedSeconds());
+    Stopwatch read_watch;
+    auto read = ReadCsv(data.schema(), path, options);
+    read_seconds.push_back(read_watch.ElapsedSeconds());
+    ok = ok && read.ok() && read->size() == kRows;
+  }
+  std::remove(path.c_str());
+  if (!ok) return false;
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  double read_s = median(read_seconds);
+  reporter->AddValue("csv_io", "write_seconds", median(write_seconds));
+  reporter->AddValue("csv_io", "read_seconds", read_s);
+  reporter->AddValue("csv_io", "read_rows_per_sec",
+                     static_cast<double>(kRows) / read_s);
+  return true;
+}
+
 }  // namespace
 }  // namespace hom
 
@@ -172,6 +217,10 @@ int main(int argc, char** argv) {
   hom::bench::BenchReporter reporter("bench_micro");
   reporter.SetScale(scale);
   reporter.AddCell("Stagger/High-order", cell);
+  if (!hom::TimeCsvIo(std::max<size_t>(scale.runs, 1), &reporter)) {
+    std::fprintf(stderr, "csv_io: a write or read failed or dropped rows\n");
+    return 1;
+  }
   if (auto status = reporter.WriteJson(); !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;

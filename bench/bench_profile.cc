@@ -1,12 +1,12 @@
 // Profiling overhead bench (DESIGN.md §11): what does continuous
 // profiling cost? Runs the same prequential evaluation with the profiler
-// off and on (default 99 Hz), compares median wall times, verifies the
-// profile is non-empty and symbolizes into hom:: frames, and — as the
-// determinism anchor the baseline gate watches — that profiling changes
-// no prediction. A second row does the same for the per-request stage
-// timer `homctl serve` keeps on, over the Intrusion stream with every
-// record labeled. The committed baseline pins both overhead_ratio values,
-// gated by bench_compare's "overhead" policy.
+// off and on (default 99 Hz) in turn, takes the median of the reps' on/off
+// wall-time ratios, verifies the profile is non-empty and symbolizes into
+// hom:: frames, and — as the determinism anchor the baseline gate watches —
+// that profiling changes no prediction. A second row does the same for the
+// per-request stage timer `homctl serve` keeps on, over the Intrusion
+// stream with every record labeled. The committed baseline pins both
+// overhead_ratio values, gated by bench_compare's "overhead" policy.
 
 #include <algorithm>
 #include <cstdio>
@@ -104,34 +104,43 @@ int main() {
   // reduced-scale test takes about 7 ms of CPU; four make every profiled
   // window a few periods long.
   const size_t profiled_passes = 4;
-  // Interleave off/on reps so drift (thermal, cache warm-up) hits both
-  // sides evenly instead of biasing whichever side runs last.
-  std::vector<double> off_seconds, on_seconds;
+  // Each rep runs both sides back to back, alternating which goes first,
+  // and the overhead is the median of the reps' on/off ratios: a shared
+  // host drifts from one rep to the next by more than the profiler costs.
+  // A rep takes about 60 ms, and the median of five still swung past the
+  // gate in one run of fifteen, so this row takes at least 15.
+  const size_t profiler_reps = std::max<size_t>(reps, 15);
+  std::vector<double> off_seconds, on_seconds, ratios;
   size_t off_errors = 0, on_errors = 0;
   uint64_t total_samples = 0;
   obs::ProfileData merged;
-  for (size_t rep = 0; rep < reps; ++rep) {
-    off_seconds.push_back(
-        ServePasses(model_bytes, test, profiled_passes, {}, &off_errors));
-    {
+  for (size_t rep = 0; rep < profiler_reps; ++rep) {
+    double off = 0.0, on = 0.0;
+    for (int side = 0; side < 2; ++side) {
+      if ((side == 0) == (rep % 2 == 0)) {
+        off = ServePasses(model_bytes, test, profiled_passes, {}, &off_errors);
+        continue;
+      }
       Status st = obs::SamplingProfiler::Global().Start({});
       bool profiling = st.ok();
       if (!profiling) {
         std::printf("profiler unavailable: %s\n", st.ToString().c_str());
       }
-      on_seconds.push_back(
-          ServePasses(model_bytes, test, profiled_passes, {}, &on_errors));
+      on = ServePasses(model_bytes, test, profiled_passes, {}, &on_errors);
       if (profiling) {
         obs::ProfileData window = obs::SamplingProfiler::Global().Collect();
         total_samples += window.samples.size();
         merged.MergeFrom(window);
       }
     }
+    off_seconds.push_back(off);
+    on_seconds.push_back(on);
+    ratios.push_back(off > 0.0 ? on / off : 1.0);
   }
 
   double off_median = Median(off_seconds);
   double on_median = Median(on_seconds);
-  double ratio = off_median > 0.0 ? on_median / off_median : 1.0;
+  double ratio = Median(ratios);
   size_t hom_frames = 0;
   for (const std::string& frame : merged.frames) {
     if (frame.find("hom::") != std::string::npos) ++hom_frames;
@@ -141,7 +150,7 @@ int main() {
               off_median);
   std::printf("%-36s %10.4f s\n", "evaluate (profiler on, median)",
               on_median);
-  std::printf("%-36s %10.4f\n", "overhead ratio (on/off)", ratio);
+  std::printf("%-36s %10.4f\n", "overhead ratio (median on/off)", ratio);
   std::printf("%-36s %10llu\n", "samples captured",
               static_cast<unsigned long long>(total_samples));
   std::printf("%-36s %10zu / %zu\n", "frames symbolized to hom::",

@@ -40,11 +40,11 @@ const std::string& Schema::class_name(int label) const {
   return classes_[static_cast<size_t>(label)];
 }
 
-Result<int> Schema::ClassIndex(const std::string& name) const {
+Result<int> Schema::ClassIndex(std::string_view name) const {
   for (size_t i = 0; i < classes_.size(); ++i) {
     if (classes_[i] == name) return static_cast<int>(i);
   }
-  return Status::NotFound("class '" + name + "' not in schema");
+  return Status::NotFound("class '" + std::string(name) + "' not in schema");
 }
 
 Result<size_t> Schema::AttributeIndex(const std::string& name) const {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -35,7 +36,7 @@ class Schema {
   const std::string& class_name(int label) const;
 
   /// Index of the class with the given name, or NotFound.
-  Result<int> ClassIndex(const std::string& name) const;
+  Result<int> ClassIndex(std::string_view name) const;
 
   /// Index of the attribute with the given name, or NotFound.
   Result<size_t> AttributeIndex(const std::string& name) const;

@@ -139,11 +139,9 @@ void ServingStatusBoard::UpdateProgress(const Progress& progress) {
 }
 
 void ServingStatusBoard::UpdateConceptStats(const OnlineConceptStats& stats) {
-  obs::JsonValue json = stats.ToJson();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    concept_stats_json_ = std::move(json);
-    has_concept_stats_ = true;
+    concept_stats_ = stats;
   }
   for (const auto& [concept_id, entry] : stats.concepts()) {
     concept_records_gauges_.For(concept_id)
@@ -248,8 +246,8 @@ obs::JsonValue ServingStatusBoard::StatusJson(size_t last_events) const {
     out.Set("checkpoint", std::move(checkpoint));
   }
 
-  if (has_concept_stats_) {
-    out.Set("concept_stats", concept_stats_json_);
+  if (concept_stats_.has_value()) {
+    out.Set("concept_stats", concept_stats_->ToJson());
   }
 
   out.Set("build", obs::BuildInfoJson());

@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,7 +81,8 @@ class ServingStatusBoard {
   /// error rate until a window has accumulated.
   double WindowedErrorRate() const;
   /// Mirrors per-concept online accounting into the board and the
-  /// `hom.concept.*{concept=...}` gauges.
+  /// `hom.concept.*{concept=...}` gauges. The board keeps a copy of
+  /// `stats`; /statusz renders it as JSON only when scraped.
   void UpdateConceptStats(const OnlineConceptStats& stats);
   /// Marks a completed checkpoint write at stream position `record`.
   void RecordCheckpoint(uint64_t record);
@@ -128,8 +130,9 @@ class ServingStatusBoard {
   size_t num_concepts_ = 0;
   std::string state_ = "loading";
   Progress progress_;
-  obs::JsonValue concept_stats_json_;
-  bool has_concept_stats_ = false;
+  /// Copy-assigned on every push, which reuses the map's nodes and the
+  /// vectors' storage.
+  std::optional<OnlineConceptStats> concept_stats_;
   bool has_checkpoint_ = false;
   uint64_t checkpoint_record_ = 0;
   Clock::time_point checkpoint_at_;

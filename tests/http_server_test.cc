@@ -462,6 +462,34 @@ TEST(HttpServerTest, EndToEndScrapeOfLivePrequentialRun) {
   server.Stop();
 }
 
+// The board keeps a copy of the pushed concept stats and renders it on
+// scrape: /statusz shows them as of the last push, not as the caller's
+// object stands now.
+TEST(ServingStatusBoardTest, ConceptStatsRenderAsOfTheLastPush) {
+  ServingStatusBoard board;
+  EXPECT_EQ(board.StatusJson().Find("concept_stats"), nullptr);
+
+  OnlineConceptStats stats(/*num_classes=*/2, /*window=*/4);
+  stats.Observe(0, 1, 1);
+  stats.Observe(1, 0, 1);
+  stats.Observe(1, 1, 1);
+  board.UpdateConceptStats(stats);
+  const std::string pushed = stats.ToJson().Dump();
+  for (int i = 0; i < 9; ++i) stats.Observe(2, 0, 1);
+  ASSERT_NE(stats.ToJson().Dump(), pushed);
+
+  JsonValue status = board.StatusJson();
+  const JsonValue* rendered = status.Find("concept_stats");
+  ASSERT_NE(rendered, nullptr);
+  EXPECT_EQ(rendered->Dump(), pushed);
+
+  board.UpdateConceptStats(stats);
+  status = board.StatusJson();
+  rendered = status.Find("concept_stats");
+  ASSERT_NE(rendered, nullptr);
+  EXPECT_EQ(rendered->Dump(), stats.ToJson().Dump());
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: scrape /alertz and /timeseriesz from a live monitored run.
 // The on_progress callback ticks a TimeSeriesStore + AlertEngine exactly

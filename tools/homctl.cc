@@ -74,9 +74,10 @@
 // `serve` replays the online stream in passes until SIGTERM or
 // SIGINT, then drains gracefully. `stats --format prometheus` renders a
 // saved telemetry file through the same text encoder.
-// `--profile-out <file>` (evaluate and serve) runs the whole command
-// under the sampling profiler (default 99 Hz, override with
-// --profile-hz) and writes a folded stack profile at exit.
+// `--profile-out <file>` (build, evaluate and serve) runs the command,
+// from reading its input CSV to the end of the build or run, under the
+// sampling profiler (default 99 Hz, override with --profile-hz) and
+// writes a folded stack profile at exit.
 // The boolean flag `--verbose` raises the log level to debug and
 // timestamps every line; every command takes it. Any other option a
 // command does not read is an error (exit 1), so a typo such as
@@ -465,31 +466,49 @@ void PublishModelBuildInfo(const HighOrderClassifier& model) {
   obs::PublishBuildInfo(fingerprint);
 }
 
-/// --profile-out support shared by evaluate and serve: arms the sampling
-/// profiler at --profile-hz (default 99) for the whole run.
-bool StartRunProfiler(const Args& args) {
-  if (!args.Has("profile-out")) return false;
-  obs::ProfileOptions options;
-  options.hz = std::atof(args.Get("profile-hz", "99"));
-  if (Status st = obs::SamplingProfiler::Global().Start(options); !st.ok()) {
-    std::fprintf(stderr, "homctl: profiler: %s\n", st.ToString().c_str());
-    return false;
+/// --profile-out for build, evaluate and serve: arms the sampling profiler
+/// at --profile-hz (default 99) when constructed, so the window covers the
+/// rest of the command, reading its input CSV included. Finish() collects
+/// the window and writes the folded profile; a command that fails before
+/// Finish() disarms the profiler on its way out.
+class RunProfiler {
+ public:
+  explicit RunProfiler(const Args& args) : args_(args) {
+    if (!args.Has("profile-out")) return;
+    obs::ProfileOptions options;
+    options.hz = std::atof(args.Get("profile-hz", "99"));
+    if (Status st = obs::SamplingProfiler::Global().Start(options); !st.ok()) {
+      std::fprintf(stderr, "homctl: profiler: %s\n", st.ToString().c_str());
+      return;
+    }
+    running_ = true;
   }
-  return true;
-}
+  ~RunProfiler() {
+    if (running_) obs::SamplingProfiler::Global().Stop();
+  }
+  RunProfiler(const RunProfiler&) = delete;
+  RunProfiler& operator=(const RunProfiler&) = delete;
 
-/// Collects the --profile-out window and writes the folded profile.
-Result<obs::ProfileData> FinishRunProfiler(const Args& args) {
-  obs::ProfileData profile = obs::SamplingProfiler::Global().Collect();
-  std::string path = args.Get("profile-out", "");
-  std::ofstream out(path, std::ios::trunc);
-  out << profile.ToFolded();
-  if (!out) return Status::Internal("failed writing " + path);
-  std::printf("profile: %zu samples (%zu distinct stacks) -> %s\n",
-              profile.samples.size(), profile.FoldedCounts().size(),
-              path.c_str());
-  return profile;
-}
+  /// Writes the folded profile and returns it; an empty profile when the
+  /// profiler is not running.
+  Result<obs::ProfileData> Finish() {
+    if (!running_) return obs::ProfileData();
+    running_ = false;
+    obs::ProfileData profile = obs::SamplingProfiler::Global().Collect();
+    std::string path = args_.Get("profile-out", "");
+    std::ofstream out(path, std::ios::trunc);
+    out << profile.ToFolded();
+    if (!out) return Status::Internal("failed writing " + path);
+    std::printf("profile: %zu samples (%zu distinct stacks) -> %s\n",
+                profile.samples.size(), profile.FoldedCounts().size(),
+                path.c_str());
+    return profile;
+  }
+
+ private:
+  const Args& args_;
+  bool running_ = false;
+};
 
 /// Set by SIGTERM/SIGINT in `homctl serve`; RunPrequential polls it via
 /// PrequentialOptions::stop_flag, so a signal drains the in-flight record
@@ -525,6 +544,7 @@ int CmdBuild(const Args& args) {
 
   std::unique_ptr<StreamGenerator> gen = MakeGenerator(stream, 1, 0);
   if (gen == nullptr) return Fail("unknown stream '" + stream + "'");
+  RunProfiler profiler(args);
   auto history = ReadCsv(gen->schema(), in);
   if (!history.ok()) return Fail(history.status().ToString());
 
@@ -539,6 +559,8 @@ int CmdBuild(const Args& args) {
   if (Status st = SaveHighOrderModelToFile(out, **model); !st.ok()) {
     return Fail(st.ToString());
   }
+  auto profile = profiler.Finish();
+  if (!profile.ok()) return Fail(profile.status().ToString());
   std::printf("built high-order model from %zu records: %zu concepts in "
               "%.2fs (%zu threads, %llu pool tasks) -> %s\n",
               report.num_records, report.num_concepts, report.build_seconds,
@@ -561,8 +583,9 @@ int CmdBuild(const Args& args) {
   }
   if (args.Has("trace-out")) {
     std::string trace_path = args.Get("trace-out", "");
-    if (Status st = obs::WriteChromeTrace(trace_path, &report.phases,
-                                          /*journal=*/nullptr);
+    if (Status st = obs::WriteChromeTrace(
+            trace_path, &report.phases, /*journal=*/nullptr,
+            profile->empty() ? nullptr : &*profile);
         !st.ok()) {
       return Fail(st.ToString());
     }
@@ -585,6 +608,19 @@ int CmdEvaluate(const Args& args) {
   if (!policy.ok()) return Fail(policy.status().ToString());
   (*model)->set_input_policy(*policy);
 
+  // One journal serves --journal-out (streamed live), --trace-out (dumped
+  // after the run) and the "journal" telemetry section. It is scoped
+  // before the profiler starts, so it records the profile_start event.
+  obs::EventJournal journal;
+  if (args.Has("journal-out")) {
+    if (Status st = journal.AttachJsonlSink(args.Get("journal-out", ""));
+        !st.ok()) {
+      return Fail(st.ToString());
+    }
+  }
+  obs::ScopedJournal scoped(&journal);
+
+  RunProfiler profiler(args);
   CsvReadOptions csv_options;
   csv_options.policy = *policy;
   CsvReadReport csv_report;
@@ -604,17 +640,6 @@ int CmdEvaluate(const Args& args) {
     (*model)->set_latency_sample_period(
         static_cast<size_t>(std::atoll(args.Get("latency-sample", "64"))));
   }
-
-  // One journal serves --journal-out (streamed live), --trace-out (dumped
-  // after the run) and the "journal" telemetry section.
-  obs::EventJournal journal;
-  if (args.Has("journal-out")) {
-    if (Status st = journal.AttachJsonlSink(args.Get("journal-out", ""));
-        !st.ok()) {
-      return Fail(st.ToString());
-    }
-  }
-  obs::ScopedJournal scoped(&journal);
 
   PrequentialOptions options;
   options.labeled_fraction = labeled > 0 ? labeled : 1.0;
@@ -753,14 +778,10 @@ int CmdEvaluate(const Args& args) {
     options.on_checkpoint = save_checkpoint;
   }
 
-  bool profiling = StartRunProfiler(args);
   PrequentialResult result = RunPrequential(model->get(), *test, options);
-  obs::ProfileData profile;
-  if (profiling) {
-    auto collected = FinishRunProfiler(args);
-    if (!collected.ok()) return Fail(collected.status().ToString());
-    profile = std::move(*collected);
-  }
+  auto collected = profiler.Finish();
+  if (!collected.ok()) return Fail(collected.status().ToString());
+  obs::ProfileData profile = std::move(*collected);
   if (server != nullptr) {
     board.SetState("draining");
     // --linger <seconds>: hold the server (and the final board/metrics
@@ -857,12 +878,6 @@ int CmdServe(const Args& args) {
   if (!policy.ok()) return Fail(policy.status().ToString());
   (*model)->set_input_policy(*policy);
 
-  CsvReadOptions csv_options;
-  csv_options.policy = *policy;
-  auto online = ReadCsv((*model)->schema(), in, csv_options, nullptr);
-  if (!online.ok()) return Fail(online.status().ToString());
-  if (online->size() == 0) return Fail(in + " has no records to serve");
-
   obs::EventJournal journal;
   if (args.Has("journal-out")) {
     if (Status st = journal.AttachJsonlSink(args.Get("journal-out", ""));
@@ -871,6 +886,16 @@ int CmdServe(const Args& args) {
     }
   }
   obs::ScopedJournal scoped(&journal);
+
+  // --profile-out: profile from here to the drain; the folded profile is
+  // written then. /profilez stays available for ad-hoc windows when this
+  // is off (they share one profiler, so concurrent use answers 409).
+  RunProfiler profiler(args);
+  CsvReadOptions csv_options;
+  csv_options.policy = *policy;
+  auto online = ReadCsv((*model)->schema(), in, csv_options, nullptr);
+  if (!online.ok()) return Fail(online.status().ToString());
+  if (online->size() == 0) return Fail(in + " has no records to serve");
 
   // serve always monitors: the introspection surface includes /alertz and
   // /timeseriesz, and the default rule pack watches the health gauges.
@@ -1036,10 +1061,6 @@ int CmdServe(const Args& args) {
   uint64_t final_window_fill = resume_window_fill;
   uint64_t pass = 0;
   auto last_heartbeat = std::chrono::steady_clock::now();
-  // --profile-out: profile the whole serving loop; the folded profile is
-  // written at drain. /profilez stays available for ad-hoc windows when
-  // this is off (they share one profiler, so concurrent use answers 409).
-  bool profiling = StartRunProfiler(args);
   board.SetState("serving");
   while (!g_shutdown.load(std::memory_order_relaxed) &&
          (passes == 0 || pass < passes)) {
@@ -1257,11 +1278,9 @@ int CmdServe(const Args& args) {
   }
 
   board.SetState("draining");
-  if (profiling) {
-    if (auto collected = FinishRunProfiler(args); !collected.ok()) {
-      std::fprintf(stderr, "homctl: profiler: %s\n",
-                   collected.status().ToString().c_str());
-    }
+  if (auto collected = profiler.Finish(); !collected.ok()) {
+    std::fprintf(stderr, "homctl: profiler: %s\n",
+                 collected.status().ToString().c_str());
   }
   {
     // A swap still parked when the drain started must not leave its
@@ -2020,7 +2039,7 @@ const std::vector<Command>& Commands() {
       {"build",
        CmdBuild,
        {"stream", "in", "out", "seed", "threads", "metrics-out",
-        "trace-out"}},
+        "trace-out", "profile-out", "profile-hz"}},
       {"evaluate",
        CmdEvaluate,
        {"model", "in", "labeled", "input-policy", "latency-sample",
@@ -2066,6 +2085,7 @@ void PrintUsage() {
                "  build      --stream s --in hist.csv --out model.hom"
                " [--seed S] [--threads N]\n"
                "             [--metrics-out m.json] [--trace-out t.json]\n"
+               "             [--profile-out p.folded] [--profile-hz F]\n"
                "  evaluate   --model model.hom --in test.csv [--labeled 0.1]"
                " [--metrics-out m.json]\n"
                "             [--journal-out e.jsonl] [--trace-out t.json]"
